@@ -330,7 +330,7 @@ CRITERIA = (
     (10, "oracle-equivalence", 120.0, criterion_10),
 )
 
-SLOW = {5, 6, 9}
+SLOW = {6, 9}
 
 
 def run_all(fast=False):

@@ -151,8 +151,16 @@ def cmd_count(cfg: Config, args):
     return 0
 
 
+def _check_modulus(n):
+    if n < 1:
+        raise ValueError(f"modulus N must be >= 1, got {n}")
+    return n
+
+
 def cmd_gowers(cfg: Config, args):
-    n = args.N or 101
+    n = _check_modulus(101 if args.N is None else args.N)
+    if args.s_max < 1:
+        raise ValueError(f"--s-max must be >= 1, got {args.s_max}")
     rng = np.random.default_rng(cfg.seed)
     families = {
         "ones": cyclic.Signal.ones(n),
@@ -177,7 +185,7 @@ def cmd_gowers(cfg: Config, args):
 
 def cmd_popdiff(cfg: Config, args):
     expr = _parse_expr(args.progression)
-    n = args.N or cfg.n_schedule[-1]
+    n = _check_modulus(cfg.n_schedule[-1] if args.N is None else args.N)
     mask = _subset(cfg, args, n)
     rep = cyclic.popular_differences(mask, expr.progression, cfg.epsilon)
     _emit(rep.to_json(), cfg, "popdiff")
@@ -219,7 +227,7 @@ def load_scenario(path):
 
 def cmd_weyl(cfg: Config, args):
     system, expr, deps, raw = load_scenario(args.scenario)
-    n = args.N or int(raw.get("N", cfg.n_weyl))
+    n = _check_modulus(int(raw.get("N", cfg.n_weyl)) if args.N is None else args.N)
     radius = int(raw.get("radius", cfg.radius))
     closure = weyl.closure_subspaces(expr.progression, system, deps=deps or None,
                                      cap=cfg.cap)
@@ -296,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--fast", action="store_true",
-                   help="skip the slowest criteria (counting trend, torus runs)")
+                   help="skip the slowest criteria (popular differences, torus runs)")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -4,8 +4,10 @@ comparison of polynomial configurations against their linear models.
 Everything here is double-precision numerics over exact integer shift
 tables; the linear algebra that justifies the comparisons (complexity
 checks, integral bases) is delegated to the exact `progression` module.
-Summation error is kept below 1e-9 relative by compensated accumulation,
-which is all the stated tolerances need.
+The linear-model count is taken on the Fourier side, as a sum over the
+solutions of the dual linear system mod a prime N, and refuses work above
+its budget.  Summation error is kept below 1e-9 relative by compensated
+accumulation, which is all the stated tolerances need.
 """
 
 from __future__ import annotations
@@ -95,15 +97,19 @@ def read_subset(path, n):
 
 
 def poly_shift_table(p: UniPoly, n: int):
-    """P(y) mod n for y = 0..n-1, via exact integer evaluation."""
+    """P(y) mod n for y = 0..n-1, via exact integer evaluation: Horner on
+    L*P mod n*L, L the lcm of the coefficient denominators."""
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    scaled = [int(c * lcm) for c in reversed(p.coeffs)]
+    modulus = n * lcm
     out = np.empty(n, dtype=np.int64)
     for y in range(n):
-        val = Fraction(0)
-        for k in reversed(range(len(p.coeffs))):
-            val = val * y + p.coeffs[k]
-        if val.denominator != 1:
+        val = 0
+        for c in scaled:
+            val = (val * y + c) % modulus
+        if val % lcm:
             raise ValueError("shift polynomial must be integer valued")
-        out[y] = val.numerator % n
+        out[y] = val // lcm
     return out
 
 
@@ -144,10 +150,6 @@ def gowers_norm_u2_fourier(f: Signal) -> float:
     return float(np.sum(np.abs(fhat) ** 4)) ** 0.25
 
 
-def gowers_norms_upto(f: Signal, s_max: int):
-    return [gowers_norm(f, s) for s in range(1, s_max + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Counting operators
 
@@ -174,49 +176,75 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+LINEAR_COUNT_CHUNK = 1 << 14  # points of K gathered at once; bounds memory
+
+
 def linear_count_operator(signals, coeffs, d: int, budget: int = 2 ** 31) -> complex:
-    """E_{x, y_1..y_d} prod_i f_i(x + sum_j a_ij y_j); direct summation.
+    """E_{x, y_1..y_d} prod_i f_i(x + sum_j a_ij y_j), on the Fourier side.
 
     `coeffs` is the (t+1) x d integer matrix of the linear forms (row 0 is
-    normally zero).  Cost is N^{d+1} evaluations; the budget guard refuses
-    blowups rather than silently running for hours."""
+    normally zero).  For prime N the average equals
+    sum_{xi in K} prod_i fhat_i(xi_i), where fhat is the normalized DFT and
+    K = {xi in (Z/N)^(t+1) : sum_i xi_i = 0, sum_i a_ij xi_i = 0 for all j}
+    (Gowers-Wolf).  K is enumerated from an exact mod-N kernel basis in
+    chunks of at most LINEAR_COUNT_CHUNK points; the work is |K| (t+1)
+    gathers, and the budget guard refuses it above `budget`."""
     if d < 1:
         raise ValueError("need at least one linear variable")
     n = signals[0].modulus
     if any(f.modulus != n for f in signals):
         raise ValueError("signals must share a modulus")
-    if n ** (d + 1) > budget:
-        raise BudgetExceeded(f"N^(d+1) = {n ** (d + 1)} exceeds budget {budget}")
-    coeffs = [[int(a) % n for a in row] for row in coeffs]
-    if len(coeffs) != len(signals):
-        raise ValueError("one coefficient row per signal")
-    vals = [f.values for f in signals]
-    if d == 1:
-        partials = []
-        for y in range(n):
-            prod = vals[0] if coeffs[0][0] == 0 else np.roll(vals[0], -(coeffs[0][0] * y) % n)
-            for i in range(1, len(vals)):
-                prod = prod * np.roll(vals[i], -(coeffs[i][0] * y) % n)
-            partials.append(prod.sum())
-        total = math.fsum(p.real for p in partials) + 1j * math.fsum(p.imag for p in partials)
-        return total / n ** 2
-    # General d: python loop over the first d-1 variables, the last variable
-    # and x vectorized as a 2D gather.
-    import itertools
-    x = np.arange(n)
-    yd = np.arange(n)
+    if not is_prime(n):
+        raise ValueError("modulus must be prime")
+    if len(coeffs) != len(signals) or any(len(row) != d for row in coeffs):
+        raise ValueError("need one coefficient row of length d per signal")
+    m = len(signals)
+    constraints = [[1] * m] + [[int(coeffs[i][j]) for i in range(m)] for j in range(d)]
+    basis = _kernel_mod_prime(constraints, m, n)
+    size = n ** len(basis)
+    if size * m > budget:
+        raise BudgetExceeded(f"|K| (t+1) = {size * m} exceeds budget {budget}")
+    fhats = [np.fft.fft(f.values) / n for f in signals]
+    vecs = np.array(basis, dtype=np.int64).reshape(len(basis), m)
+    radix = n ** np.arange(len(basis), dtype=np.int64)
     partials = []
-    for head in itertools.product(range(n), repeat=d - 1):
-        prod = None
-        for row, f in zip(coeffs, vals):
-            base = sum(a * y for a, y in zip(row[:-1], head)) % n
-            shift = (base + row[-1] * yd) % n           # shape (n,)
-            idx = (x[None, :] + shift[:, None]) % n     # (yd, x)
-            term = f[idx]
-            prod = term if prod is None else prod * term
+    for start in range(0, size, LINEAR_COUNT_CHUNK):
+        index = np.arange(start, min(start + LINEAR_COUNT_CHUNK, size), dtype=np.int64)
+        digits = index[:, None] // radix[None, :] % n      # (chunk, dim K)
+        xi = digits @ vecs % n                              # (chunk, t+1)
+        prod = fhats[0][xi[:, 0]]
+        for i in range(1, m):
+            prod = prod * fhats[i][xi[:, i]]
         partials.append(prod.sum())
-    total = math.fsum(p.real for p in partials) + 1j * math.fsum(p.imag for p in partials)
-    return total / n ** (d + 1)
+    return math.fsum(p.real for p in partials) + 1j * math.fsum(p.imag for p in partials)
+
+
+def _kernel_mod_prime(rows, ncols, p):
+    """Basis of {v in (Z/p)^ncols : rows v = 0}, by exact Gauss-Jordan
+    elimination in Python ints; entries are reduced to 0..p-1."""
+    mat = [[int(a) % p for a in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [a * inv % p for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -mat[r][fc] % p
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +414,8 @@ def build_obstruction(prog: Progression, rel: Relation, n: int, m: int):
         phases = np.empty(n, dtype=np.float64)
         for u in range(n):
             v = scaled(u)
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise AssertionError("L * Q_i must be integer valued on Z/NZ")
             phases[u] = (m * (v.numerator % n)) % n
         signals.append(Signal(np.exp(TWO_PI * 1j * phases / n)))
     return signals

@@ -6,10 +6,14 @@ does none of that: unknowns are plain monomial coefficients, expansions
 use its own dict-based polynomial powers, and the kernel is a textbook
 reduced-row-echelon elimination over Fraction.  Agreement between the two
 is an end-to-end check of both (acceptance criterion and tests call it).
+Likewise the linear-model count here is the direct sum over all N^(d+1)
+points, where `cyclic` sums Fourier coefficients over a mod-N kernel.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from .polycore import to_binomial_basis
@@ -134,3 +138,17 @@ def popdiff_by_enumeration(mask, prog: Progression, epsilon):
         if count > (alpha ** (prog.t + 1) - epsilon) * n:
             qualifying.append(shift)
     return qualifying
+
+
+def linear_count_by_enumeration(signals, coeffs, d):
+    """E_{x, y_1..y_d} prod_i f_i(x + sum_j a_ij y_j), summed term by term
+    over all N^(d+1) points (small N only)."""
+    n = signals[0].modulus
+    terms = []
+    for x, *ys in itertools.product(range(n), repeat=d + 1):
+        term = 1 + 0j
+        for row, f in zip(coeffs, signals):
+            term *= f.values[(x + sum(a * y for a, y in zip(row, ys))) % n]
+        terms.append(term)
+    total = math.fsum(t.real for t in terms) + 1j * math.fsum(t.imag for t in terms)
+    return total / n ** (d + 1)

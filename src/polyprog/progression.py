@@ -262,7 +262,13 @@ def homogeneous_relations(prog: Progression, k: int):
 
 
 def homogeneous_relation_dims(prog: Progression, cap: int):
-    return [len(homogeneous_relations(prog, k)) for k in range(1, cap + 1)]
+    return [_homogeneous_dim(prog, k) for k in range(1, cap + 1)]
+
+
+@lru_cache(maxsize=512)
+def _homogeneous_dim(prog: Progression, k: int):
+    # Per degree, so the cap and cap+1 decisions of one report share work.
+    return len(homogeneous_relations(prog, k))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +600,9 @@ def is_eligible(prog: Progression, r_max: int = 6, cap: int | None = None):
             if not sub_homog:
                 return EligibilityReport(False, r_max, cap or prog.default_cap(),
                                          (r, j, "inhomogeneous"), checked)
-            prof, _ = complexity_profile(fam, cap)
+            # profile at cap only; complexity_profile's cap+1 pass is not needed
+            fam_cap = cap or fam.default_cap()
+            prof = _profile_from_vectors(_relation_vectors(fam, fam_cap), fam.t, fam_cap)
             if prof != base_profile:
                 return EligibilityReport(False, r_max, cap or prog.default_cap(),
                                          (r, j, f"profile {prof} != {base_profile}"),

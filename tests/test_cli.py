@@ -139,3 +139,24 @@ def test_unknown_config_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(cfg),
                            "relations", "x, x+y")
     assert code == 2 or "bogus" in err
+
+
+def test_gowers_rejects_zero_modulus_and_degree(capsys):
+    code, out, err = run_cli(capsys, "gowers", "--N", "0", "--s-max", "1")
+    assert code == 2 and not out and "N must be >= 1" in err
+    code, out, err = run_cli(capsys, "gowers", "--N", "5", "--s-max", "0")
+    assert code == 2 and not out and "--s-max must be >= 1" in err
+
+
+def test_popdiff_rejects_zero_modulus(capsys):
+    code, out, err = run_cli(capsys, "popdiff", "x, x+y", "--N", "0")
+    assert code == 2 and not out and "N must be >= 1" in err
+
+
+def test_weyl_rejects_zero_modulus(tmp_path, capsys):
+    scenario = {"order": 2, "rotation": "sqrt2", "base": ["sqrt3", "sqrt5"],
+                "progression": "x, x+y", "N": 100, "radius": 1}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "weyl", str(path), "--N", "0")
+    assert code == 2 and not out and "N must be >= 1" in err

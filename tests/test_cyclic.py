@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyprog import cyclic, oracle
 from polyprog.cyclic import (
@@ -144,7 +145,45 @@ def test_linear_count_trivial_and_factorized():
 
 def test_linear_count_budget():
     with pytest.raises(BudgetExceeded):
-        linear_count_operator([Signal.ones(101)] * 2, [[0], [1]], 1, budget=100)
+        linear_count_operator([Signal.ones(101)] * 3, [[0], [1], [2]], 1, budget=100)
+
+
+def test_linear_count_requires_prime_modulus():
+    with pytest.raises(ValueError, match="prime"):
+        linear_count_operator([Signal.ones(12)] * 3, [[0], [1], [2]], 1)
+
+
+@st.composite
+def linear_systems(draw):
+    """(signals, coefficient matrix, d) over Z/NZ for a small prime N, with
+    entries beyond N and, on demand, a column that is zero mod N or that
+    repeats mod N the first column (for d = 1, the implicit all-ones row)."""
+    n = draw(st.sampled_from((5, 7, 11, 13)))
+    m = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=-3 * n, max_value=3 * n)
+    cols = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(d)]
+    degenerate = draw(st.sampled_from(("none", "zero", "duplicate")))
+    lift = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=m, max_size=m))
+    if degenerate == "zero":
+        cols[-1] = [n * k for k in lift]
+    elif degenerate == "duplicate":
+        source = cols[0] if d > 1 else [1] * m
+        cols[-1] = [a + n * k for a, k in zip(source, lift)]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    signals = [Signal(rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n))
+               for _ in range(m)]
+    coeffs = [[cols[j][i] for j in range(d)] for i in range(m)]
+    return signals, coeffs, d
+
+
+@given(linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_linear_count_matches_enumeration(system):
+    signals, coeffs, d = system
+    fourier = linear_count_operator(signals, coeffs, d)
+    direct = oracle.linear_count_by_enumeration(signals, coeffs, d)
+    assert abs(fourier - direct) < 1e-12
 
 
 def test_compare_poly_vs_linear_trivial_sets():

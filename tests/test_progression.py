@@ -357,3 +357,20 @@ def test_ap_relation_count_closed_form():
         for d in range(1, t):
             assert len(homogeneous_relations(ap, d)) == t - d
         assert len(homogeneous_relations(ap, t)) == 0
+
+
+def test_complexity_report_computes_each_homogeneous_degree_once(monkeypatch):
+    from polyprog import progression as pr
+    for value in vars(pr).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    calls = []
+    inner = pr.homogeneous_relations
+
+    def counted(prog, k):
+        calls.append((prog, k))
+        return inner(prog, k)
+
+    monkeypatch.setattr(pr, "homogeneous_relations", counted)
+    complexity_report(FIVE)
+    assert len(calls) == len(set(calls)) == 78
