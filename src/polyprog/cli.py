@@ -11,6 +11,10 @@ Subcommands
 
 All tolerances, caps, seeds and schedules live in one Config; a JSON config
 file supplies overrides, and individual flags override that again.
+
+Exit codes: 0 success; 1 a `weyl` or `verify` check failed; 2 bad input or
+work refused above a cost ceiling, with a message; 3 a broken internal
+invariant, with one JSON line on stderr naming the check.
 """
 
 from __future__ import annotations
@@ -68,8 +72,6 @@ def _apply_overrides(cfg: Config, args):
             setattr(cfg, key, val)
     if getattr(args, "n_schedule", None):
         cfg.n_schedule = tuple(int(v) for v in args.n_schedule.split(","))
-    if getattr(args, "n_weyl", None):
-        cfg.n_weyl = args.n_weyl
     return cfg
 
 
@@ -319,6 +321,12 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        # A broken internal invariant (failed exact re-check, Vandermonde
+        # bound, kernel structure), not bad input: exit 3, naming the check.
+        print(json.dumps({"error": "invariant", "exception": type(exc).__name__,
+                          "check": str(exc)}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 """Brute-force reference computations, kept independent of the main path.
 
 The relation solver in `progression` works in binomial coordinates via
-Vandermonde convolutions and a modular-prescan kernel.  The oracle here
-does none of that: unknowns are plain monomial coefficients, expansions
-use its own dict-based polynomial powers, and the kernel is a textbook
-reduced-row-echelon elimination over Fraction.  Agreement between the two
-is an end-to-end check of both (acceptance criterion and tests call it).
-Likewise the linear-model count here is the direct sum over all N^(d+1)
-points, where `cyclic` sums Fourier coefficients over a mod-N kernel.
+integer Vandermonde convolutions and a modular-prescan kernel.  The oracle
+here does none of that: unknowns are plain monomial coefficients,
+expansions use its own dict-based polynomial powers, and the kernel is a
+textbook reduced-row-echelon elimination over Fraction.  Agreement between
+the two is an end-to-end check of both (acceptance criterion and tests call
+it).  The other routes here are the ones the package replaced:
+homogeneous relations from BiPoly expansions of (x + P_i)^k, shared layer
+parts by intersecting row spaces, the Fraction RREF, and the linear-model
+count as the direct sum over all N^(d+1) points, where `cyclic` sums
+Fourier coefficients over a mod-N kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polycore import to_binomial_basis
+from .polycore import BiPoly, UniPoly, binom_of_shift, compose_shift, to_binomial_basis
 from .progression import Progression
 
 
@@ -41,9 +44,13 @@ def _shift_power(p_coeffs, k):
     return acc
 
 
-def _rref_kernel(rows, ncols):
-    """Kernel basis by textbook RREF over Fraction (the slow route)."""
-    mat = [list(map(Fraction, row)) for row in rows]
+def rref_by_fractions(rows):
+    """Textbook reduced row echelon form over Fraction: (rows, pivot_cols),
+    zero rows dropped.  The slow route `ratlinalg.rref` is checked against."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -61,15 +68,93 @@ def _rref_kernel(rows, ncols):
         r += 1
         if r == len(mat):
             break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def primitive_integer_row(row):
+    """Scale a rational vector to coprime integers with positive lead."""
+    den = 1
+    for x in row:
+        f = Fraction(x)
+        den = den * f.denominator // math.gcd(den, f.denominator)
+    ints = [int(Fraction(x) * den) for x in row]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x != 0), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def canonical_basis_by_fractions(rows):
+    """Primitive integer rows of the textbook RREF (`ratlinalg.canonical_basis`
+    gets them by integer elimination)."""
+    return [primitive_integer_row(r) for r in rref_by_fractions(rows)[0]]
+
+
+def _rref_kernel(rows, ncols):
+    """Kernel basis read off the textbook RREF (the slow route)."""
+    red, pivots = rref_by_fractions(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+            v[pc] = -red[i][fc]
         basis.append(v)
     return basis
+
+
+def _cell_order(cell):
+    a, b = cell
+    return (a + b, b, a)
+
+
+def homogeneous_relations_by_expansion(prog: Progression, k: int):
+    """Basis of {a : sum_i a_i (x + P_i(y))^k = 0} from Horner expansions of
+    the powers over BiPoly and a textbook kernel (`progression` uses integer
+    powers of the P_i)."""
+    grids = [dict(compose_shift(UniPoly.monomial(k), p).terms) for p in prog.all_polys()]
+    columns = sorted({c for g in grids for c in g}, key=_cell_order)
+    rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
+    return [tuple(v) for v in _rref_kernel(rows, prog.t + 1)]
+
+
+def intersect_row_spaces(rows_a, rows_b):
+    """Canonical basis of rowspace(A) ∩ rowspace(B)."""
+    if not rows_a or not rows_b:
+        return []
+    stacked = [list(r) for r in rows_a] + [list(r) for r in rows_b]
+    # (u, -v) with u.A = v.B  <=>  (u, v) in the left kernel of the stack.
+    ker = _rref_kernel([list(col) for col in zip(*stacked)], len(stacked))
+    na = len(rows_a)
+    members = []
+    for vec in ker:
+        combo = [Fraction(0)] * len(rows_a[0])
+        for ui, row in zip(vec[:na], rows_a):
+            if ui:
+                combo = [c + ui * x for c, x in zip(combo, row)]
+        if any(combo):
+            members.append(combo)
+    return canonical_basis_by_fractions(members)
+
+
+def shared_parts_by_intersection(prog: Progression, k: int, cap: int):
+    """Canonical basis of L_k ∩ (sum of L_j, j != k, j <= cap), where L_j is
+    the span of the C(x + P_i(y), j): the degree-k layer intersected with the
+    RREF of the other layers (`progression` projects the relation kernel)."""
+    grids = {j: [dict(binom_of_shift(p, j).terms) for p in prog.all_polys()]
+             for j in range(1, cap + 1)}
+    columns = sorted({c for gs in grids.values() for g in gs for c in g}, key=_cell_order)
+    rows = {j: [[g.get(c, Fraction(0)) for c in columns] for g in gs]
+            for j, gs in grids.items()}
+    other = canonical_basis_by_fractions([row for j in rows if j != k for row in rows[j]])
+    shared = intersect_row_spaces(canonical_basis_by_fractions(rows[k]), other) if other else []
+    return tuple(BiPoly({c: v for c, v in zip(columns, row) if v}) for row in shared)
 
 
 def relation_kernel_dense(prog: Progression, cap: int):
@@ -93,7 +178,6 @@ def relation_kernel_dense(prog: Progression, cap: int):
         for i in range(t + 1):
             # monomial coefficients of Q_i ...
             mono = [Fraction(0)] + [vec[i * cap + (k - 1)] for k in range(1, cap + 1)]
-            from .polycore import UniPoly
             bs = list(to_binomial_basis(UniPoly(mono)))
             bs = bs + [Fraction(0)] * (cap + 1 - len(bs))
             row.extend(bs[1:cap + 1])

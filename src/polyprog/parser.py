@@ -110,7 +110,11 @@ def _parse_divided_atom(sc: _Scanner, sign: int):
         # Not part of the integer grammar, but accepted so that y/2 fails
         # with an integrality witness instead of a syntax error.
         sc.take("/")
-        atom = atom.scale(Fraction(1, sc.integer()))
+        start = sc.pos
+        den = sc.integer()
+        if den == 0:
+            raise ProgressionSyntaxError("division by zero", start)
+        atom = atom.scale(Fraction(1, den))
     return atom
 
 

@@ -295,14 +295,6 @@ def binom_of_shift(p: UniPoly, k: int):
     return compose_shift(binomial_poly(k), p)
 
 
-def binomial_compose(p: UniPoly, k: int):
-    """C(p(y), k) as a UniPoly in y."""
-    acc = UniPoly((1,))
-    for m in range(k):
-        acc = acc * (p - UniPoly([m]))
-    return acc.scale(Fraction(1, factorial(k))) if k else UniPoly((1,))
-
-
 def bipoly_to_binomial_grid(r: BiPoly):
     """Coordinates of r over the C(x,a)C(y,b) grid, as {(a,b): Fraction}.
 

@@ -3,7 +3,9 @@
 A progression (x, x+P_1(y), ..., x+P_t(y)) of distinct nonzero integral
 polynomials satisfies algebraic relations: tuples (Q_0, ..., Q_t) with
 Q_0(x) + Q_1(x+P_1(y)) + ... + Q_t(x+P_t(y)) identically zero.  This module
-computes, with exact rational arithmetic throughout:
+computes exactly: expansions, equation matrices and eliminations run in
+integers, and `Fraction` appears only where values are stored or reported
+(expansion tables, relation vectors, layer bases):
 
   * a basis of all relations up to a degree cap (relation_space),
   * per-index algebraic complexity (largest degree a relation forces at a
@@ -28,16 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, factorial, gcd, lcm, prod
 
 from . import ratlinalg as rl
 from .polycore import (
     BiPoly,
     UniPoly,
-    binom_of_shift,
-    binomial_compose,
     binomial_poly,
-    bipoly_to_binomial_grid,
     compose_shift,
     from_binomial_basis,
     is_integral,
@@ -134,15 +133,49 @@ class RelationSpace:
     def dim(self):
         return len(self.basis)
 
-    def max_degree_at(self, i):
-        """Largest deg Q_i over the space (attained on the basis); 0 if the
-        index never participates."""
-        degs = [r.qs[i].degree for r in self.basis if not r.qs[i].is_zero]
-        return max((int(d) for d in degs), default=0)
-
 
 # ---------------------------------------------------------------------------
 # Shifted-binomial expansions over the C(x,a)C(y,b) grid
+
+# Refusal threshold for the exact layer, in unknowns times grid cells of one
+# relation system (exact_layer_cost).  On a 2-vCPU machine `analyze` took
+# 1.4 s on x, x+y^12 (cost 3.6e4 at cap+1), 7.4 s on x, x+y^20 (2.2e5) and
+# 20 s on x, x+y^24 (4.4e5); x, x+y^60 (1.4e7) did not finish in 25 s.
+EXACT_LAYER_BUDGET = 250_000
+
+
+class ExactLayerBudgetExceeded(RuntimeError):
+    pass
+
+
+def exact_layer_cost(prog: Progression, cap: int):
+    """Unknowns times grid cells of the relation system at `cap`.
+
+    The unknowns are the (t+1)*cap binomial coordinates; C(x + P_i(y), k)
+    for k <= cap lives on the cells x^a y^b with b <= (cap - a) * max deg."""
+    cells = (cap + 1) + prog.max_degree() * cap * (cap + 1) // 2
+    return (prog.t + 1) * cap * cells
+
+
+def _convolve(a, b):
+    """Product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _scaled_polys(prog: Progression):
+    """(L, [L*P_0, ..., L*P_t]) as integer coefficient lists, where L is the
+    lcm of the monomial denominators of all P_i (P_0 = 0 gives [0])."""
+    den = 1
+    for p in prog.polys:
+        for c in p.coeffs:
+            den = lcm(den, c.denominator)
+    return den, [[0]] + [[int(c * den) for c in p.coeffs] for p in prog.polys]
+
 
 @lru_cache(maxsize=256)
 def _expansions(prog: Progression, cap: int):
@@ -150,26 +183,40 @@ def _expansions(prog: Progression, cap: int):
     {(a, b): coeff of x^a y^b} of C(x + P_i(y), k).
 
     Computed once per (progression, cap) by the Vandermonde convolution
-    C(x + P, k) = sum_j C(x, k-j) C(P, j); the monomial grid is what makes
-    the canonical layer bases come out in the expected small form (x, y,
-    y^3, ... rather than binomial recombinations)."""
+    C(x + P, k) = sum_j C(x, k-j) C(P, j), in integers: with Q = L*P and
+    N_j = j! L^j C(P, j) = N_{j-1} (Q - (j-1) L), and with the falling
+    factorials F_n(x) = n! C(x, n),
+        k! L^k C(x + P, k) = sum_j C(k, j) L^(k-j) F_{k-j}(x) N_j(y).
+    The monomial grid is what makes the canonical layer bases come out in
+    the expected small form (x, y, y^3, ... rather than binomial
+    recombinations)."""
+    cost = exact_layer_cost(prog, cap)
+    if cost > EXACT_LAYER_BUDGET:
+        raise ExactLayerBudgetExceeded(
+            f"exact layer cost {cost} at cap {cap} exceeds budget {EXACT_LAYER_BUDGET} "
+            f"(unknowns x grid cells)")
+    scale, scaled = _scaled_polys(prog)
+    falling = [[1]]
+    for n in range(cap):
+        falling.append(_convolve(falling[-1], [-n, 1]))
     table = {}
-    for i, p in enumerate(prog.all_polys()):
-        comp = {0: UniPoly((1,))}
+    for i, q in enumerate(scaled):
+        numer = [[1]]
         for j in range(1, cap + 1):
-            comp[j] = binomial_compose(p, j)
+            numer.append(_convolve(numer[-1], [q[0] - (j - 1) * scale] + q[1:]))
         for k in range(1, cap + 1):
-            grid = {}
-            for j in range(0, k + 1):
-                xpart = binomial_poly(k - j)
-                for a, ca in enumerate(xpart.coeffs):
-                    if not ca:
-                        continue
-                    for b, cb in enumerate(comp[j].coeffs):
-                        if cb:
-                            key = (a, b)
-                            grid[key] = grid.get(key, Fraction(0)) + ca * cb
-            table[(i, k)] = {key: v for key, v in grid.items() if v}
+            grid = [[0] * len(numer[k]) for _ in range(k + 1)]
+            for j in range(k + 1):
+                weight = comb(k, j) * scale ** (k - j)
+                for a, ca in enumerate(falling[k - j]):
+                    if ca:
+                        row, wa = grid[a], weight * ca
+                        for b, cb in enumerate(numer[j]):
+                            if cb:
+                                row[b] += wa * cb
+            den = factorial(k) * scale ** k
+            table[(i, k)] = {(a, b): Fraction(v, den)
+                             for a, row in enumerate(grid) for b, v in enumerate(row) if v}
     return table
 
 
@@ -202,8 +249,9 @@ def relation_space(prog: Progression, cap: int) -> RelationSpace:
     says every grid coordinate of sum_i Q_i(x+P_i(y)) vanishes."""
     if cap < 1:
         raise ValueError("relation cap must be >= 1")
-    basis = _relation_vectors(prog, cap)
+    # cap+1 first: the budget check in _expansions then refuses before any work
     basis_next = _relation_vectors(prog, cap + 1)
+    basis = _relation_vectors(prog, cap)
     space = RelationSpace(
         basis=tuple(_relation_from_vector(prog, cap, v) for v in basis),
         degree_cap=cap,
@@ -242,23 +290,50 @@ def _relation_from_vector(prog: Progression, cap: int, vec):
 
 
 def homogeneous_relations(prog: Progression, k: int):
-    """Basis of {a in Q^{t+1} : sum_i a_i (x + P_i(y))^k = 0} (monomial
-    form; the binomial form gives the same space and is cross-checked in
-    tests)."""
+    """Basis of {a in Q^{t+1} : sum_i a_i (x + P_i(y))^k = 0}.
+
+    The x^a y^b coefficient of (x + P)^k is C(k, a) [y^b] P^(k-a), so the
+    equations are the power rows sum_i a_i [y^b] P_i^m = 0, m = 0..k."""
     if k < 1:
         raise ValueError("degree must be >= 1")
-    grids = []
-    for p in prog.all_polys():
-        power = compose_shift(UniPoly.monomial(k), p)
-        grids.append(dict(power.terms))
-    columns = sorted({c for g in grids for c in g},
-                     key=lambda ab: (ab[0] + ab[1], ab[1], ab[0]))
-    index = {c: j for j, c in enumerate(columns)}
-    rows = [[Fraction(0)] * (prog.t + 1) for _ in columns]
-    for i, g in enumerate(grids):
-        for key, v in g.items():
-            rows[index[key]][i] = v
-    return [tuple(v) for v in rl.kernel_basis(rows, ncols=prog.t + 1)]
+    return [tuple(v) for v in rl.kernel_basis(_power_rows(prog, k), ncols=prog.t + 1)]
+
+
+def _power_rows(prog: Progression, k: int):
+    """Rows ([y^b] (L P_0)^m, ..., [y^b] (L P_t)^m) for m = 0..k, all b: the
+    block m is scaled by L^m (L clears the monomial denominators)."""
+    _, scaled = _scaled_polys(prog)
+    rows = [[1] * (prog.t + 1)]
+    powers = [[1]] * (prog.t + 1)
+    for _ in range(k):
+        powers = [_convolve(pw, q) for pw, q in zip(powers, scaled)]
+        width = max(len(pw) for pw in powers)
+        rows.extend([pw[b] if b < len(pw) else 0 for pw in powers] for b in range(width))
+    return rows
+
+
+def _binomial_rows(prog: Progression, k: int):
+    """Rows ([C(y,b)] C(P_0(y), m), ..., [C(y,b)] C(P_t(y), m)) for
+    m = 0..k, all b: binomial coordinates are forward differences at 0 of
+    the integer values C(P_i(y), m), y = 0..m * max deg."""
+    scale, scaled = _scaled_polys(prog)
+    points = k * prog.max_degree() + 1
+    values = [[sum(c * y ** e for e, c in enumerate(q)) // scale for y in range(points)]
+              for q in scaled]
+    rows = []
+    for m in range(k + 1):
+        diffs = []
+        for vals in values:
+            # C(n, m) for any integer n, negative included
+            layer = [prod(range(n - m + 1, n + 1)) // factorial(m)
+                     for n in vals[:m * prog.max_degree() + 1]]
+            coords = []
+            while layer:
+                coords.append(layer[0])
+                layer = [b - a for a, b in zip(layer, layer[1:])]
+            diffs.append(coords)
+        rows.extend(list(col) for col in zip(*diffs))
+    return rows
 
 
 def homogeneous_relation_dims(prog: Progression, cap: int):
@@ -365,10 +440,6 @@ class GradedSpaces:
     def layer(self, k):
         return self.layers[k - 1]
 
-    def shared_total(self):
-        """All shared polynomials across degrees (spanning set)."""
-        return [w for layer in self.layers for w in layer.shared]
-
 
 def graded_spaces(prog: Progression, k_max: int, cap: int | None = None) -> GradedSpaces:
     if cap is None:
@@ -378,13 +449,23 @@ def graded_spaces(prog: Progression, k_max: int, cap: int | None = None) -> Grad
     table = _expansions(prog, cap)
     all_grids = {k: [table[(i, k)] for i in range(prog.t + 1)] for k in range(1, cap + 1)}
     columns = _grid_columns([g for gs in all_grids.values() for g in gs])
-    rows_by_k = {k: _rows_over_columns(all_grids[k], columns) for k in range(1, cap + 1)}
+    relations = _relation_vectors(prog, cap)
     layers = []
     for k in range(1, k_max + 1):
-        basis_rows = rl.canonical_basis(rows_by_k[k])
-        other = [row for j in range(1, cap + 1) if j != k for row in rows_by_k[j]]
-        other_basis = rl.canonical_basis(other)
-        shared_rows = rl.intersect_row_spaces(basis_rows, other_basis) if other_basis else []
+        rows = _rows_over_columns(all_grids[k], columns)
+        basis_rows = rl.canonical_basis(rows)
+        # w = sum_i b_i C(x+P_i, k) lies in the other layers exactly when
+        # (b at degree k, minus its other-degree expression) is a relation,
+        # so the shared part is the degree-k image of the relation space.
+        images = []
+        for v in relations:
+            image = [0] * len(columns)
+            for i, row in enumerate(rows):
+                c = v[i * cap + (k - 1)]
+                if c:
+                    image = [x + c * y for x, y in zip(image, row)]
+            images.append(image)
+        shared_rows = rl.canonical_basis(images)
         proper_rows = rl.extend_basis(shared_rows, basis_rows)
         layers.append(DegreeLayer(
             k=k,
@@ -524,34 +605,14 @@ def coeff_space(prog: Progression, k: int, cap: int | None = None) -> CoeffSpace
 
 
 def _verify_coeff_space_definitions(prog, k, vectors):
-    """The four equivalent descriptions (power/binomial, single degree /
-    degrees up to k) must give the same span."""
+    """The equivalent descriptions must give the same span: the coefficient
+    tuples of the powers (x + P_i)^k and of the binomials C(x + P_i, k), at
+    degree k alone or over all degrees up to k, all span the power rows
+    (and the binomial rows) for m = 0..k."""
     span = [list(v) for v in vectors]
-    for rows in (_power_coeff_rows(prog, k, k), _power_coeff_rows(prog, 1, k),
-                 _binom_coeff_rows(prog, 1, k)):
+    for rows in (_power_rows(prog, k), _binomial_rows(prog, k)):
         if not rl.same_row_space(rows, span):
             raise AssertionError("equivalent coefficient-space definitions disagree")
-
-
-def _power_coeff_rows(prog, k_min, k_max):
-    rows = []
-    for k in range(k_min, k_max + 1):
-        grids = [dict(compose_shift(UniPoly.monomial(k), p).terms)
-                 for p in prog.all_polys()]
-        columns = sorted({c for g in grids for c in g})
-        for col in columns:
-            rows.append([g.get(col, Fraction(0)) for g in grids])
-    return rows
-
-
-def _binom_coeff_rows(prog, k_min, k_max):
-    rows = []
-    for k in range(k_min, k_max + 1):
-        grids = [bipoly_to_binomial_grid(binom_of_shift(p, k)) for p in prog.all_polys()]
-        columns = sorted({c for g in grids for c in g})
-        for col in columns:
-            rows.append([g.get(col, Fraction(0)) for g in grids])
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals, plus integer lattice utilities.
 
-Kernels of the large integer matrices produced by relation solving are
-computed with a modular pre-pass (numpy, word-sized prime) that guesses the
-pivot structure, followed by an exact fraction-free solve restricted to the
+Eliminations work in integers: rows are scaled to integers first, and
+`Fraction` appears in returned values and in the small back-solves of
+`coordinates_in_rows`.  Kernels
+of the large integer matrices produced by relation solving are computed
+with a modular pre-pass (numpy, word-sized prime) that guesses the pivot
+structure, followed by an exact fraction-free solve restricted to the
 pivot submatrix.  Every candidate kernel vector is re-verified against the
 full matrix with exact arithmetic, and the rank certificate (a nonzero
 pivot-minor determinant mod p) bounds the kernel dimension from above, so
-the result is exact, not probabilistic.  A plain textbook RREF over
-`Fraction` is kept as the independent slow route; tests compare the two.
+the result is exact, not probabilistic.  `rref` is a fraction-free
+Gauss-Jordan elimination; the textbook `Fraction` RREF is kept in
+`oracle` as the independent slow route, and tests compare the two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -25,15 +29,16 @@ _PRIMES = (2147483629, 2147483587, 2147483563, 2147483549, 2147483543)
 
 
 def _as_int_rows(rows):
-    """Clear denominators row by row, returning lists of ints."""
+    """Clear denominators row by row, returning lists of ints (row scaling
+    keeps both the row space and the kernel)."""
     out = []
     for row in rows:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
         den = 1
         for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) if isinstance(x, Fraction) else int(x) * den
-                    for x in row])
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
@@ -68,11 +73,12 @@ def _mod_echelon(mat, p):
 
 def _bareiss_solve(aug, npiv):
     """Fraction-free forward elimination on an integer matrix whose left
-    npiv columns are nonsingular, then exact back-substitution.
+    npiv columns are nonsingular, then fraction-free back-substitution.
 
-    Returns the solution block X (as Fractions) of A X = B where
-    aug = [A | B].  Raises ZeroDivisionError if a pivot vanishes (caller
-    retries with another prime)."""
+    Returns (det, Y) with integer Y = det * X, where A X = B for
+    aug = [A | B] and det is the determinant of the row-swapped pivot
+    block (Cramer's rule makes det * X integral).  Raises ZeroDivisionError
+    if a pivot vanishes (caller retries with another prime)."""
     n = npiv
     m = len(aug[0])
     a = [list(map(int, row)) for row in aug]
@@ -88,15 +94,16 @@ def _bareiss_solve(aug, npiv):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
+    det = prev
     nrhs = m - n
-    sols = [[Fraction(0)] * nrhs for _ in range(n)]
+    sols = [[0] * nrhs for _ in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(nrhs):
-            s = Fraction(a[i][n + j])
+            s = det * a[i][n + j]
             for k in range(i + 1, n):
                 s -= a[i][k] * sols[k][j]
-            sols[i][j] = s / a[i][i]
-    return sols
+            sols[i][j] = s // a[i][i]
+    return det, sols
 
 
 def kernel_basis(rows, ncols=None):
@@ -138,23 +145,24 @@ def _kernel_attempt(int_rows, ncols, p):
            [-int_rows[ri][c] for c in free_cols]
            for ri in pivot_rows]
     try:
-        sols = _bareiss_solve(aug, rank) if rank else []
+        det, sols = _bareiss_solve(aug, rank) if rank else (1, [])
     except ZeroDivisionError:
         return None
-    basis = []
+    scaled = []
     for j, fc in enumerate(free_cols):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        w = [0] * ncols
+        w[fc] = det
         for i, pc in enumerate(pivot_cols):
-            v[pc] = sols[i][j]
-        basis.append(tuple(v))
-    # Exact verification against every original row; mod-p structure errors
-    # surface here and trigger a retry.
-    for row in int_rows:
-        for v in basis:
-            if sum(row[c] * v[c] for c in range(ncols) if v[c]) != 0:
+            w[pc] = sols[i][j]
+        scaled.append(w)
+    # Exact verification of det * v against every original row; mod-p
+    # structure errors surface here and trigger a retry.
+    for w in scaled:
+        support = [c for c in range(ncols) if w[c]]
+        for row in int_rows:
+            if sum(row[c] * w[c] for c in support) != 0:
                 return None
-    return basis
+    return [tuple(Fraction(x, det) for x in w) for w in scaled]
 
 
 def rank(rows, ncols=None):
@@ -165,33 +173,45 @@ def rank(rows, ncols=None):
 
 
 def rref(rows):
-    """Textbook reduced row echelon form over Fraction.
+    """Reduced row echelon form over Q; returns (reduced_rows, pivot_cols)
+    with Fraction entries, zero rows dropped."""
+    mat, pivots = _integer_echelon(rows)
+    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(mat, pivots)], pivots
 
-    Returns (reduced_rows, pivot_cols); zero rows are dropped.  This is the
-    independent slow route used for oracles and small presentation work.
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
+
+def _integer_echelon(rows):
+    """Fraction-free Gauss-Jordan: (integer rows, pivot_cols), where row r
+    divided by its entry at pivot_cols[r] is row r of the RREF.
+
+    Rows are scaled to integers, eliminated by integer cross-multiplication
+    with the row content divided out, and never divided by their pivots.
+    Row scaling keeps the row space, and the pivot search sees the same
+    zero pattern as a textbook Fraction elimination, so the result is the
+    same unique RREF up to a nonzero factor per row."""
+    mat = _as_int_rows(rows)
     if not mat:
         return [], []
     ncols = len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        k = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if k is None:
             continue
         mat[r], mat[k] = mat[k], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        prow = mat[r]
+        piv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                row = [piv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def rref_with_transform(rows):
@@ -217,28 +237,16 @@ def rref_with_transform(rows):
     return out_rows, pivots, transform
 
 
-def primitive_integer_row(row):
-    """Scale a rational vector to coprime integers with positive lead."""
-    den = 1
-    for x in row:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(Fraction(x) * den) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
 def canonical_basis(rows):
-    """Deterministic basis of the row space: RREF then primitive integers."""
-    red, _ = rref(rows)
-    return [primitive_integer_row(r) for r in red]
+    """Deterministic basis of the row space: the RREF rows scaled to
+    coprime integers with positive lead."""
+    out = []
+    for row in _integer_echelon(rows)[0]:
+        g = gcd(*row)
+        if next(x for x in row if x) < 0:
+            g = -g
+        out.append(tuple(x // g for x in row))
+    return out
 
 
 def coordinates_in_rows(target, rows):
@@ -270,26 +278,6 @@ def in_row_space(target, rows):
 
 def same_row_space(rows_a, rows_b):
     return canonical_basis(rows_a) == canonical_basis(rows_b)
-
-
-def intersect_row_spaces(rows_a, rows_b):
-    """Canonical basis of rowspace(A) ∩ rowspace(B)."""
-    if not rows_a or not rows_b:
-        return []
-    stacked = [list(r) for r in rows_a] + [list(r) for r in rows_b]
-    # (u, -v) with u.A = v.B  <=>  (u, v) in the left kernel of the stack.
-    ker = kernel_basis(_transpose(stacked), ncols=len(stacked))
-    na = len(rows_a)
-    members = []
-    for vec in ker:
-        u = vec[:na]
-        combo = [Fraction(0)] * len(rows_a[0])
-        for ui, row in zip(u, rows_a):
-            if ui:
-                combo = [c + ui * x for c, x in zip(combo, row)]
-        if any(combo):
-            members.append(combo)
-    return canonical_basis(members)
 
 
 def _transpose(rows):

