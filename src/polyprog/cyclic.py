@@ -58,10 +58,6 @@ class Signal:
     def one_bounded(self, tol=1e-12):
         return bool(np.max(np.abs(self.values)) <= 1.0 + tol)
 
-    def assert_one_bounded(self, tol=1e-12):
-        if not self.one_bounded(tol):
-            raise ValueError("signal exceeds the unit bound")
-
     @classmethod
     def ones(cls, n):
         return cls(np.ones(n))
@@ -419,53 +415,3 @@ def build_obstruction(prog: Progression, rel: Relation, n: int, m: int):
             phases[u] = (m * (v.numerator % n)) % n
         signals.append(Signal(np.exp(TWO_PI * 1j * phases / n)))
     return signals
-
-
-def best_obstruction_relation(prog: Progression, i: int, cap=None):
-    """A relation maximizing deg Q_i, or None if the index is free."""
-    space = relation_space(prog, cap or prog.default_cap())
-    best, best_deg = None, 0
-    for rel in space.basis:
-        if not rel.qs[i].is_zero and int(rel.qs[i].degree) > best_deg:
-            best, best_deg = rel, int(rel.qs[i].degree)
-    return best
-
-
-def true_complexity_probe(prog: Progression, i: int, s: int, trials: int,
-                          n: int, seed: int):
-    """Diagnostic table pairing ||f_i||_{U^{s+1}} against |count| with the
-    other slots held at structured worst cases.
-
-    Rows: random sign signals in slot i, the all-zero signal, and (when the
-    progression carries a relation at slot i) the structured phase signal
-    that keeps the count at 1 despite a small norm."""
-    rng = np.random.default_rng(seed)
-    rel = best_obstruction_relation(prog, i)
-    if rel is not None:
-        structured = build_obstruction(prog, rel, n, 1)
-    else:
-        structured = [Signal.ones(n) for _ in range(prog.t + 1)]
-    rows = []
-    for trial in range(trials):
-        f_i = Signal(rng.choice([-1.0, 1.0], size=n).astype(np.complex128))
-        signals = list(structured)
-        signals[i] = f_i
-        rows.append({
-            "kind": "random_signs",
-            "trial": trial,
-            "norm": gowers_norm(f_i, s + 1),
-            "count": abs(count_operator(signals, prog)),
-        })
-    zero = list(structured)
-    zero[i] = Signal(np.zeros(n))
-    rows.append({"kind": "zero", "trial": None, "norm": 0.0,
-                 "count": abs(count_operator(zero, prog))})
-    if rel is not None:
-        k = int(rel.qs[i].degree)
-        rows.append({
-            "kind": "structured",
-            "trial": None,
-            "norm": gowers_norm(structured[i], max(k, 1)),
-            "count": abs(count_operator(structured, prog)),
-        })
-    return rows

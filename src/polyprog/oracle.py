@@ -10,7 +10,8 @@ it).  The other routes here are the ones the package replaced:
 homogeneous relations from BiPoly expansions of (x + P_i)^k, shared layer
 parts by intersecting row spaces, the Fraction RREF, and the linear-model
 count as the direct sum over all N^(d+1) points, where `cyclic` sums
-Fourier coefficients over a mod-N kernel.
+Fourier coefficients over a mod-N kernel.  On the torus, `step` iterates
+the standard affine map that `weyl` orbits follow in closed form.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from .polycore import BiPoly, UniPoly, binom_of_shift, compose_shift, to_binomial_basis
 from .progression import Progression
+from .weyl import WeylSystem, _SCALE
 
 
 def _poly_mul(a, b):
@@ -236,3 +238,15 @@ def linear_count_by_enumeration(signals, coeffs, d):
         terms.append(term)
     total = math.fsum(t.real for t in terms) + 1j * math.fsum(t.imag for t in terms)
     return total / n ** (d + 1)
+
+
+def step(w: WeylSystem, point_fp):
+    """One application of the standard affine map
+    T(a_1, ..., a_s) = (a_1 + a_0, a_2 + a_1, ..., a_s + a_{s-1}) to
+    fixed-point torus coordinates, mod 1; a_0 is the rotation of `w`."""
+    out = []
+    prev = w.rotation.fp
+    for l in range(w.order):
+        out.append((point_fp[l] + prev) % _SCALE)
+        prev = point_fp[l]
+    return tuple(out)

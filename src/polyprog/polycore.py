@@ -4,15 +4,16 @@ Two coordinate systems are used throughout: the monomial basis u^k and the
 binomial basis C(u, k) = u(u-1)...(u-k+1)/k!.  The binomial view is the
 native one for integer-valued polynomials (integer coefficients, and the
 forward difference acts as an index shift), so conversions between the two
-must round-trip exactly.  Everything here is `Fraction` arithmetic; no
-floating point enters this module.
+must round-trip exactly.  Coefficients are `Fraction`s; the basis
+conversions run on integers scaled by a common denominator.  No floating
+point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -111,31 +112,41 @@ class UniPoly:
 
 @lru_cache(maxsize=None)
 def binomial_poly(k):
-    """C(u, k) as a UniPoly."""
-    if k == 0:
-        return UniPoly((1,))
-    p = UniPoly((1,))
+    """C(u, k) as a UniPoly: the integer falling factorial u(u-1)...(u-k+1),
+    scaled once by 1/k!."""
+    ff = [1]   # u(u-1)...(u-m+1), ascending integer coefficients
     for m in range(k):
-        p = p * UniPoly((-m, 1))
-    return p.scale(Fraction(1, factorial(k)))
+        ff = [0] + ff               # times u ...
+        for i in range(m + 1):
+            ff[i] -= m * ff[i + 1]  # ... minus m times the old product
+    kf = factorial(k)
+    return UniPoly([Fraction(c, kf) for c in ff])
 
 
 def to_binomial_basis(p: UniPoly):
     """Coefficients b_0..b_d with p(u) = sum b_k C(u, k).
 
-    Computed as iterated forward differences at 0; exact."""
+    Iterated forward differences at 0, exact: the coefficients are scaled
+    to integers by the lcm of their denominators, evaluated by integer
+    Horner at u = 0..d and differenced in integers, with one division at
+    the end."""
     if p.is_zero:
         return ()
-    d = p.degree
-    values = [p(u) for u in range(d + 1)]
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    layer = []
+    for u in range(len(ints)):
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * u + c
+        layer.append(acc)
     out = []
-    layer = values
-    for _ in range(d + 1):
+    while layer:
         out.append(layer[0])
         layer = [layer[i + 1] - layer[i] for i in range(len(layer) - 1)]
     while out and out[-1] == 0:
         out.pop()
-    return tuple(out)
+    return tuple(Fraction(b, den) for b in out)
 
 
 def from_binomial_basis(bs):
@@ -147,11 +158,6 @@ def from_binomial_basis(bs):
     return acc
 
 
-def discrete_derivative(q: UniPoly):
-    """q(u+1) - q(u); shifts the binomial view down one index."""
-    return q.shift(1) - q
-
-
 def is_integral(p: UniPoly):
     """Integer values on the integers and p(0) = 0: equivalently, integer
     binomial coefficients with zero constant term."""
@@ -160,11 +166,6 @@ def is_integral(p: UniPoly):
         return True
     if bs[0] != 0:
         return False
-    return all(b.denominator == 1 for b in bs)
-
-
-def is_integer_valued(p: UniPoly):
-    bs = to_binomial_basis(p)
     return all(b.denominator == 1 for b in bs)
 
 
@@ -260,27 +261,6 @@ class BiPoly:
         return f"BiPoly({bipoly_text(self)!r})"
 
 
-def partial_discrete_derivative_x(r: BiPoly):
-    """R(x+1, y) - R(x, y), exact.
-
-    The x^a y^b term contributes C(a, i) x^i y^b for i < a; the leading
-    i = a term cancels against the subtraction."""
-    out = {}
-    for (a, b), c in r.terms.items():
-        for i in range(a):
-            out[(i, b)] = out.get((i, b), Fraction(0)) + c * _binom_int(a, i)
-    return BiPoly(out)
-
-
-def _binom_int(n, k):
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    for i in range(k):
-        num = num * (n - i) // (i + 1)
-    return num
-
-
 def compose_shift(q: UniPoly, p: UniPoly):
     """q(x + p(y)) as a BiPoly, exact (Horner in the argument x + p(y))."""
     arg = BiPoly({(1, 0): 1}) + BiPoly.from_unipoly_in_y(p)
@@ -320,17 +300,6 @@ def bipoly_to_binomial_grid(r: BiPoly):
                 out[(a, b)] = col[0]
             col = [col[i + 1] - col[i] for i in range(len(col) - 1)]
     return out
-
-
-def bipoly_from_binomial_grid(grid):
-    """Inverse of bipoly_to_binomial_grid."""
-    acc = BiPoly.zero()
-    for (a, b), c in grid.items():
-        if c:
-            term = BiPoly.from_unipoly_in_x(binomial_poly(a)) * \
-                BiPoly.from_unipoly_in_y(binomial_poly(b))
-            acc = acc + term * c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -371,14 +371,6 @@ def complexity_profile(prog: Progression, cap: int | None = None):
     return prof, prof == prof_next
 
 
-def algebraic_complexity(prog: Progression, i: int, cap: int | None = None):
-    """Largest deg Q_i over relations of degree <= cap, with stabilization."""
-    if not 0 <= i <= prog.t:
-        raise IndexError(f"index {i} out of range 0..{prog.t}")
-    prof, stab = complexity_profile(prog, cap)
-    return prof[i], stab
-
-
 class VandermondeViolation(AssertionError):
     def __init__(self, prog, profile, witness):
         self.profile = profile

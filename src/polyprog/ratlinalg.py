@@ -299,17 +299,17 @@ def extend_basis(sub_rows, ambient_rows):
 # ---------------------------------------------------------------------------
 # Integer lattice utilities (Hermite normal form based)
 
-def hnf_rows(mat):
-    """Row-style Hermite normal form of the lattice spanned by integer rows.
+def _hnf_in_place(m, ncols):
+    """Row-style Hermite normal form on the first ncols columns, in place.
 
-    Pivots positive, entries above a pivot reduced to [0, pivot).  Zero rows
-    dropped.  Deterministic canonical form."""
-    m = [list(map(int, row)) for row in mat]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
+    Pivots positive, entries above a pivot reduced to [0, pivot); columns
+    past ncols are carried along (they keep the transform).  Returns the
+    number of pivot rows, which come first."""
+    nrows = len(m)
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         while True:
             nz = [i for i in range(r, nrows) if m[i][c] != 0]
             if not nz:
@@ -327,15 +327,24 @@ def hnf_rows(mat):
                         done = False
             if done:
                 break
-        if r < nrows and m[r][c] != 0:
+        if m[r][c] != 0:
             for i in range(r):
                 q = m[i][c] // m[r][c]
                 if q:
                     m[i] = [a - q * b for a, b in zip(m[i], m[r])]
             r += 1
-            if r == nrows:
-                break
-    return [tuple(row) for row in m[:r] if any(row)]
+    return r
+
+
+def hnf_rows(mat):
+    """Row-style Hermite normal form of the lattice spanned by integer rows.
+
+    Zero rows dropped; a deterministic canonical form."""
+    m = [list(map(int, row)) for row in mat]
+    if not m:
+        return []
+    r = _hnf_in_place(m, len(m[0]))
+    return [tuple(row) for row in m[:r]]
 
 
 def left_kernel_int(mat):
@@ -346,38 +355,8 @@ def left_kernel_int(mat):
         return []
     ncols = len(m[0])
     aug = [row + [1 if j == i else 0 for j in range(nrows)] for i, row in enumerate(m)]
-    h = _hnf_in_place(aug, ncols)
-    return [tuple(row[ncols:]) for row in h if not any(row[:ncols])]
-
-
-def _hnf_in_place(m, ncols_reduce):
-    """HNF row reduction touching only the first ncols_reduce columns for
-    pivot selection; full rows carried along (keeps transforms)."""
-    nrows = len(m)
-    r = 0
-    for c in range(ncols_reduce):
-        while True:
-            nz = [i for i in range(r, nrows) if m[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(m[i][c]))
-            m[r], m[i0] = m[i0], m[r]
-            if m[r][c] < 0:
-                m[r] = [-x for x in m[r]]
-            done = True
-            for i in range(r + 1, nrows):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nrows and any(mi[c] != 0 for mi in m[r:r + 1]):
-            r += 1
-            if r == nrows:
-                break
-    return m
+    _hnf_in_place(aug, ncols)
+    return [tuple(row[ncols:]) for row in aug if not any(row[:ncols])]
 
 
 def integer_annihilator(rational_rows):

@@ -173,26 +173,9 @@ class WeylSystem:
         return tuple(tuple(_coeff_fp(v) for v in vec) for vec in self.gens)
 
 
-def orbit_point(w: WeylSystem, n: int):
-    """The torus point at time n, as fixed-point coordinates mod 1."""
-    gens = w.gens_fp()
-    out = []
-    for l in range(w.order):
-        acc = _coeff_fp(w.base[l])
-        for i in range(1, w.order + 1):
-            g = gens[i - 1][l]
-            if g:
-                acc += binom_int(n, i) * g
-        out.append(acc % _SCALE)
-    return tuple(out)
-
-
-def orbit_point_floats(w: WeylSystem, n: int):
-    return tuple(v / _SCALE for v in orbit_point(w, n))
-
-
 def orbit_lift(w: WeylSystem, n: int):
-    """Unreduced fixed-point coordinates (no mod 1); exact integers."""
+    """The torus point at time n as unreduced fixed-point coordinates (take
+    them mod _SCALE for the point on the torus); exact integers."""
     gens = w.gens_fp()
     out = []
     for l in range(w.order):
@@ -203,126 +186,6 @@ def orbit_lift(w: WeylSystem, n: int):
                 acc += binom_int(n, i) * g
         out.append(acc)
     return tuple(out)
-
-
-def step(w: WeylSystem, point_fp):
-    """One application of the standard affine map, exact in fixed point."""
-    rot = w.rotation.fp
-    out = []
-    prev = rot
-    for l in range(w.order):
-        out.append((point_fp[l] + prev) % _SCALE)
-        prev = point_fp[l]
-    return tuple(out)
-
-
-def torus_distance(p, q):
-    """Max over coordinates of the wraparound distance (floats in [0,1))."""
-    d = 0.0
-    for a, b in zip(p, q):
-        delta = abs(a - b) % 1.0
-        d = max(d, min(delta, 1.0 - delta))
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Characters and factors
-
-@dataclass(frozen=True)
-class TorusCharacter:
-    frequencies: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "frequencies",
-                           tuple(int(f) for f in self.frequencies))
-
-    @property
-    def is_trivial(self):
-        return not any(self.frequencies)
-
-    def phase_fp(self, point_fp):
-        acc = 0
-        for f, v in zip(self.frequencies, point_fp):
-            if f:
-                acc += f * v
-        return acc % _SCALE
-
-    def evaluate(self, point_fp):
-        return complex(np.exp(TWO_PI * 1j * (self.phase_fp(point_fp) / _SCALE)))
-
-
-def factor_projection(char: TorusCharacter, k: int):
-    """Projection of a character onto the depth-k factor (functions of the
-    first k coordinates): the character itself if its frequencies beyond
-    coordinate k vanish, otherwise zero."""
-    if not 0 <= k <= len(char.frequencies):
-        raise ValueError("factor depth out of range")
-    retained = all(f == 0 for f in char.frequencies[k:])
-    return (char if retained else None)
-
-
-# ---------------------------------------------------------------------------
-# Multiple averages along a progression
-
-def multiple_average(w: WeylSystem, chars, prog: Progression, n_samples: int,
-                     two_parameter: bool = True):
-    """E over the sample window of prod_i chi_i at the progression times.
-
-    Two-parameter form (default): E_{m,n<N} prod_i chi_i(orbit(m + P_i(n))).
-    Single-parameter: E_{n<N} prod_i chi_i(orbit(P_i(n))).
-    """
-    chars = list(chars)
-    if len(chars) != prog.t + 1:
-        raise ValueError(f"need {prog.t + 1} characters")
-    if any(len(c.frequencies) != w.order for c in chars):
-        raise ValueError("characters must live on the single system")
-    polys = prog.all_polys()
-    if not two_parameter:
-        acc = 0j
-        for n in range(n_samples):
-            term = 1.0 + 0j
-            for char, p in zip(chars, polys):
-                val = p(n)
-                term *= char.evaluate(orbit_point(w, int(val)))
-            acc += term
-        return acc / n_samples
-    # Split orbit(m + u) over C(m, kappa) tails so the m-average vectorizes.
-    tails = _tail_tables(w, chars, polys, n_samples)
-    m = np.arange(n_samples, dtype=np.float64)
-    cm = np.ones((w.order + 1, n_samples))
-    for kappa in range(1, w.order + 1):
-        cm[kappa] = cm[kappa - 1] * (m - (kappa - 1)) / kappa
-    phases = cm.T @ tails      # (m, n)
-    return complex(np.exp(TWO_PI * 1j * phases).mean())
-
-
-def _tail_tables(w: WeylSystem, chars, polys, n_samples):
-    """B[kappa, n] = sum_{i,l} freq_{i,l} * tail_{kappa,l}(P_i(n)) mod 1,
-    where tail_{kappa,l}(u) = sum_d C(u,d) gens_{d+kappa}[l] (gens_0 = base).
-    Exact fixed point per entry, returned as floats."""
-    gens = w.gens_fp()
-    base = [_coeff_fp(b) for b in w.base]
-    s = w.order
-    out = np.zeros((s + 1, n_samples))
-    for n in range(n_samples):
-        acc = [0] * (s + 1)
-        for char, p in zip(chars, polys):
-            u = int(p(n))
-            binoms = [binom_int(u, d) for d in range(s + 1)]
-            for l in range(s):
-                f = char.frequencies[l]
-                if not f:
-                    continue
-                for kappa in range(s + 1):
-                    tail = base[l] if kappa == 0 else 0
-                    for d in range(s - kappa + 1):
-                        gi = d + kappa
-                        if 1 <= gi <= s and gens[gi - 1][l]:
-                            tail += binoms[d] * gens[gi - 1][l]
-                    acc[kappa] += f * tail
-        for kappa in range(s + 1):
-            out[kappa, n] = (acc[kappa] % _SCALE) / _SCALE
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +527,6 @@ class DiscrepancyTable:
         vals = [r.magnitude for r in self.rows if r.kind == "generic"]
         return max(vals) if vals else 0.0
 
-    def constant_rows(self):
-        return [r for r in self.rows if r.kind == "constant"]
-
     def to_json(self):
         return {
             "schema": "polyprog-discrepancy/1",
@@ -711,7 +571,20 @@ def _binom_columns(n, s):
     return cx
 
 
-def character_average(tails, cx, freqs, ncomp):
+def _phase_rows(tails, freqs, ncomp):
+    """B[kappa, y] = sum_{l,c} eta_{l,c} * tails[kappa, l, c, y], so that
+    eta . orbit tuple at (x, y) is sum_kappa C(x, kappa) * B[kappa, y]."""
+    s1, s, _, n = tails.shape
+    b = np.zeros((s1, n))
+    for l in range(s):
+        for c in range(ncomp):
+            f = freqs[l * ncomp + c]
+            if f:
+                b += float(f) * tails[:, l, c, :]
+    return b
+
+
+def character_average(tails, freqs, ncomp):
     """E_{x,y} e(eta . orbit tuple) via the split phase
     sum_kappa C(x,kappa) * B_kappa(y).
 
@@ -720,13 +593,8 @@ def character_average(tails, cx, freqs, ncomp):
     gives u_j(x+1) = u_j(x) u_{j+1}(x), so each x step costs a few vector
     multiplies instead of a fresh 4M-point exponential.  Unit-modulus drift
     over the walk is ~n*eps, far below the thresholds in play."""
-    s1, s, _, n = tails.shape
-    b = np.zeros((s1, n))
-    for l in range(s):
-        for c in range(ncomp):
-            f = freqs[l * ncomp + c]
-            if f:
-                b += f * tails[:, l, c, :]
+    b = _phase_rows(tails, freqs, ncomp)
+    s1, n = b.shape
     ladder = [np.exp(TWO_PI * 1j * b[j]) for j in range(s1)]
     acc = np.zeros(n, dtype=np.complex128)
     for _ in range(n):
@@ -782,7 +650,6 @@ def equidistribution_test(w: WeylSystem, prog: Progression,
     in the output: rows are merged in enumeration order.
     """
     tails = _orbit_tail_tables(w, prog, n)
-    cx = _binom_columns(n, w.order)
     ncomp = closure.components
     freq_list = enumerate_characters(closure.ambient_dim, radius)
     for extra in extra_characters:
@@ -791,7 +658,7 @@ def equidistribution_test(w: WeylSystem, prog: Progression,
             freq_list.append(extra)
 
     def one(freqs):
-        avg = character_average(tails, cx, freqs, ncomp)
+        avg = character_average(tails, freqs, ncomp)
         return DiscrepancyRow(frequencies=tuple(freqs),
                               kind=classify_character(freqs, closure),
                               magnitude=abs(avg))
@@ -857,11 +724,4 @@ def coset_confinement(w: WeylSystem, prog: Progression,
 
 def character_phases(tails, cx, freqs, ncomp):
     """eta . orbit tuple as real phases (x, y), up to integers."""
-    s1, s, _, n = tails.shape
-    b = np.zeros((s1, n))
-    for l in range(s):
-        for c in range(ncomp):
-            f = freqs[l * ncomp + c]
-            if f:
-                b += float(f) * tails[:, l, c, :]
-    return cx.T @ b
+    return cx.T @ _phase_rows(tails, freqs, ncomp)

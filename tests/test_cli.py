@@ -170,6 +170,16 @@ def test_analyze_refuses_exact_layer_above_budget(capsys):
     assert code == 2 and not out and "exceeds budget" in err
 
 
+def test_analyze_refuses_high_degree_binomial_atom_quickly(capsys):
+    import time
+    from polyprog.polycore import binomial_poly
+    binomial_poly.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "x, x+C(y,400)")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and not out and "exceeds budget" in err
+
+
 def test_division_by_zero_is_bad_input(capsys):
     code, out, err = run_cli(capsys, "analyze", "x, x+y/0")
     assert code == 2 and not out and "division by zero" in err

@@ -18,7 +18,6 @@ from polyprog.cyclic import (
     gowers_norm_u2_fourier,
     linear_count_operator,
     popular_differences,
-    true_complexity_probe,
 )
 from polyprog.polycore import UniPoly
 from polyprog.progression import Relation, progression
@@ -285,25 +284,11 @@ def test_build_obstruction_gcd_guard():
         build_obstruction(AP3, half, 2, 1)
 
 
-def test_true_complexity_probe_rows():
-    rows = true_complexity_probe(INH, 0, 2, trials=3, n=101, seed=9)
-    kinds = [r["kind"] for r in rows]
-    assert kinds.count("random_signs") == 3
-    zero_row = next(r for r in rows if r["kind"] == "zero")
-    assert zero_row["count"] < 1e-12
-    structured = next(r for r in rows if r["kind"] == "structured")
-    assert abs(structured["count"] - 1.0) < 1e-9
-    assert structured["norm"] < 0.5
-
-
 def test_signal_boundedness_flag(tmp_path):
     good = Signal(np.exp(2j * np.pi * RNG.random(16)))
     assert good.one_bounded()
-    good.assert_one_bounded()
     bad = Signal(np.full(16, 1.5 + 0j))
     assert not bad.one_bounded()
-    with pytest.raises(ValueError):
-        bad.assert_one_bounded()
 
 
 def test_read_subset_roundtrip(tmp_path):

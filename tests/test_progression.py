@@ -16,7 +16,6 @@ from polyprog.polycore import (
 from polyprog.progression import (
     Progression,
     Relation,
-    algebraic_complexity,
     coeff_space,
     complexity_profile,
     complexity_report,
@@ -143,14 +142,6 @@ def test_complexity_profiles():
     assert prof == (1, 1, 1, 1, 1) and stable
     prof, stable = complexity_profile(INH, 4)
     assert prof == (2, 2, 2, 1) and stable
-
-
-def test_algebraic_complexity_indexing():
-    s, stab = algebraic_complexity(HOM, 3)
-    assert (s, stab) == (0, True)
-    assert algebraic_complexity(INH, 0, 4)[0] == 2
-    with pytest.raises(IndexError):
-        algebraic_complexity(HOM, 5)
 
 
 def test_vandermonde_bound():

@@ -147,6 +147,21 @@ def test_hnf_preserves_lattice():
             assert coords is not None
 
 
+def test_hnf_is_reduced_above_pivots():
+    assert rl.hnf_rows([[2, 7], [0, 5]]) == [(2, 2), (0, 5)]
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        h = rl.hnf_rows(rows)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+        assert pivots == sorted(set(pivots))
+        for r, pc in enumerate(pivots):
+            assert h[r][pc] > 0
+            assert all(0 <= h[i][pc] < h[r][pc] for i in range(r))
+
+
 def test_integer_annihilator_saturated():
     basis = [[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]]
     ann = rl.integer_annihilator(basis)

@@ -4,24 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyprog import ratlinalg as rl, weyl
+from polyprog import oracle, ratlinalg as rl, weyl
 from polyprog.polycore import UniPoly
 from polyprog.progression import Relation, progression
 from polyprog.weyl import (
     Irrational,
-    TorusCharacter,
     WeylSystem,
     binom_int,
     closure_subspaces,
     coset_confinement,
     equidistribution_test,
-    factor_projection,
     lower_bound_witness,
-    multiple_average,
-    orbit_point,
-    orbit_point_floats,
-    step,
-    torus_distance,
+    orbit_lift,
 )
 
 Y = UniPoly((0, 1))
@@ -53,34 +47,38 @@ def test_binom_int_negative_arguments():
                 math.prod(n - i for i in range(k)) / math.factorial(k))
 
 
+def _point(w, n):
+    """The torus point at time n: fixed-point coordinates mod 1."""
+    return tuple(v % weyl._SCALE for v in orbit_lift(w, n))
+
+
 def test_orbit_point_examples():
     w1 = WeylSystem.standard(1, SQRT2, (Fraction(0),))
-    assert orbit_point_floats(w1, 0) == (0.0,)
-    assert abs(orbit_point_floats(w1, 3)[0] - (3 * math.sqrt(2)) % 1) < 1e-12
+    assert _point(w1, 0) == (0,)
+    assert abs(_point(w1, 3)[0] / weyl._SCALE - (3 * math.sqrt(2)) % 1) < 1e-12
     w2 = WeylSystem.standard(2, SQRT2, (Fraction(0), Fraction(0)))
-    pt = orbit_point_floats(w2, 2)
+    pt = [v / weyl._SCALE for v in _point(w2, 2)]
     assert abs(pt[0] - (2 * math.sqrt(2)) % 1) < 1e-12
     assert abs(pt[1] - math.sqrt(2) % 1) < 1e-12    # C(2,2) a_0
 
 
 def test_orbit_closed_form_equals_iteration_exactly():
-    pt = orbit_point(STD2, 0)
+    pt = _point(STD2, 0)
     for n in range(1, 51):
-        pt = step(STD2, pt)
-        assert pt == orbit_point(STD2, n)   # fixed point arithmetic is exact
+        pt = oracle.step(STD2, pt)
+        assert pt == _point(STD2, n)   # fixed point arithmetic is exact
 
 
 def test_orbit_cocycle_identity():
+    # negative start times run binom_int on n < 0
     rng = np.random.default_rng(3)
     for _ in range(100):
         m = int(rng.integers(-50, 50))
         n = int(rng.integers(0, 50))
-        pt = orbit_point(STD2, m)
+        pt = _point(STD2, m)
         for _ in range(n):
-            pt = step(STD2, pt)
-        assert torus_distance(
-            tuple(v / weyl._SCALE for v in pt),
-            orbit_point_floats(STD2, m + n)) < 1e-12
+            pt = oracle.step(STD2, pt)
+        assert pt == _point(STD2, m + n)
 
 
 def test_generator_validation():
@@ -88,62 +86,6 @@ def test_generator_validation():
         WeylSystem.from_generators(2, [(SQRT2, 0), (SQRT2, SQRT2)])  # level-1 leak
     with pytest.raises(ValueError):
         WeylSystem.from_generators(2, [(Fraction(1, 2), 0), (0, SQRT2)])
-
-
-def test_factor_projection():
-    assert factor_projection(TorusCharacter((1, 0)), 1) is not None
-    assert factor_projection(TorusCharacter((0, 1)), 1) is None
-    assert factor_projection(TorusCharacter((3, -2)), 2) is not None
-    with pytest.raises(ValueError):
-        factor_projection(TorusCharacter((1, 0)), 3)
-
-
-def test_factor_projection_idempotent_multiplicative():
-    chars = [TorusCharacter(f) for f in ((1, 0), (0, 2), (1, 1), (0, 0))]
-    for c in chars:
-        first = factor_projection(c, 1)
-        if first is not None:
-            assert factor_projection(first, 1) == first
-    # products of characters add frequencies
-    for a in chars:
-        for b in chars:
-            prod = TorusCharacter(tuple(x + y for x, y in
-                                        zip(a.frequencies, b.frequencies)))
-            pa, pb = factor_projection(a, 1), factor_projection(b, 1)
-            if pa is not None and pb is not None:
-                assert factor_projection(prod, 1) is not None
-
-
-def test_multiple_average_trivial():
-    triv = [TorusCharacter((0, 0))] * 3
-    val = multiple_average(STD2, triv, progression(Y, Y * 2), 40)
-    assert abs(val - 1.0) < 1e-12
-
-
-def test_multiple_average_rotation_decay():
-    w1 = WeylSystem.standard(1, SQRT2, (Fraction(0),))
-    val = multiple_average(w1, [TorusCharacter((0,)), TorusCharacter((1,))],
-                           progression(Y), 10 ** 4, two_parameter=False)
-    dist = abs(math.sqrt(2) % 1 - round(math.sqrt(2) % 1))
-    assert abs(val) <= 1 / (2 * dist * 10 ** 4) * 1.01
-
-
-def test_multiple_average_two_parameter_matches_direct():
-    chars = [TorusCharacter((1, 0)), TorusCharacter((0, 1)),
-             TorusCharacter((1, -1))]
-    prog = progression(Y, Y2)
-    n = 30
-    fast = multiple_average(STD2, chars, prog, n)
-    direct = 0j
-    for m in range(n):
-        for y in range(n):
-            term = 1 + 0j
-            for char, p in zip(chars, prog.all_polys()):
-                u = m + int(p(y))
-                term *= char.evaluate(orbit_point(STD2, u))
-            direct += term
-    direct /= n * n
-    assert abs(fast - direct) < 1e-9
 
 
 def test_lower_bound_witness_degree_two_relation():
@@ -288,11 +230,6 @@ def test_coset_confinement_small():
     assert coset_confinement(ind, INH, cl2, 250) < 1e-9
 
 
-def test_torus_distance_wraparound():
-    assert abs(torus_distance((0.99,), (0.01,)) - 0.02) < 1e-12
-    assert torus_distance((0.25, 0.5), (0.25, 0.5)) == 0.0
-
-
 def test_trivial_character_row_is_exactly_one():
     closure = closure_subspaces(HOM, STD2)
     table = equidistribution_test(STD2, HOM, closure, 60, radius=1,
@@ -312,17 +249,19 @@ def test_character_average_matches_direct_orbit_evaluation():
     tails = weyl._orbit_tail_tables(system, INH, n)
     cx = weyl._binom_columns(n, 2)
     freqs = (2, -1, 0, 3, 1, 0, -2, 1)
-    fast = weyl.character_average(tails, cx, freqs, 4)
+    fast = weyl.character_average(tails, freqs, 4)
+    phases = weyl.character_phases(tails, cx, freqs, 4)
     total = 0j
     for x in range(n):
         for y in range(n):
-            phase = 0.0
+            phase_fp = 0
             for c, p in enumerate(INH.all_polys()):
-                pt = orbit_point(system, x + int(p(y)))
+                lift = orbit_lift(system, x + int(p(y)))
                 for l in (0, 1):
-                    f = freqs[l * 4 + c]
-                    if f:
-                        phase += f * (pt[l] / weyl._SCALE)
+                    phase_fp += freqs[l * 4 + c] * lift[l]
+            phase = (phase_fp % weyl._SCALE) / weyl._SCALE
+            gap = (phases[x, y] - phase) % 1.0
+            assert min(gap, 1.0 - gap) < 1e-9
             total += np.exp(2j * np.pi * phase)
     assert abs(fast - total / n ** 2) < 1e-9
 
