@@ -144,6 +144,14 @@ def test_complexity_profiles():
     assert prof == (2, 2, 2, 1) and stable
 
 
+def test_algebraic_complexity_indexing():
+    prof, stab = complexity_profile(HOM)
+    assert (prof[3], stab) == (0, True)
+    assert complexity_profile(INH, 4)[0][0] == 2
+    with pytest.raises(IndexError):
+        complexity_profile(HOM)[0][5]
+
+
 def test_vandermonde_bound():
     assert vandermonde_bound_check(progression(Y, Y * 2))       # sharp at t-1
     assert vandermonde_bound_check(progression(Y, Y2))
