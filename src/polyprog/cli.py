@@ -124,7 +124,7 @@ def cmd_analyze(cfg: Config, args):
 
 def cmd_relations(cfg: Config, args):
     expr = _parse_expr(args.progression)
-    cap = cfg.cap or expr.progression.default_cap()
+    cap = expr.progression.default_cap() if cfg.cap is None else cfg.cap
     space = relation_space(expr.progression, cap)
     doc = {
         "schema": "polyprog-relations/1",

@@ -55,9 +55,6 @@ class Signal:
     def modulus(self):
         return self.values.size
 
-    def one_bounded(self, tol=1e-12):
-        return bool(np.max(np.abs(self.values)) <= 1.0 + tol)
-
     @classmethod
     def ones(cls, n):
         return cls(np.ones(n))

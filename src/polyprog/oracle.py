@@ -6,7 +6,8 @@ here does none of that: unknowns are plain monomial coefficients,
 expansions use its own dict-based polynomial powers, and the kernel is a
 textbook reduced-row-echelon elimination over Fraction.  Agreement between
 the two is an end-to-end check of both (acceptance criterion and tests call
-it).  The other routes here are the ones the package replaced:
+it).  The other routes here are the ones the package replaced: relation
+vectors from the Fraction system of Horner-expanded shifted binomials,
 homogeneous relations from BiPoly expansions of (x + P_i)^k, shared layer
 parts by intersecting row spaces, the Fraction RREF, and the linear-model
 count as the direct sum over all N^(d+1) points, where `cyclic` sums
@@ -124,6 +125,19 @@ def homogeneous_relations_by_expansion(prog: Progression, k: int):
     columns = sorted({c for g in grids for c in g}, key=_cell_order)
     rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
     return [tuple(v) for v in _rref_kernel(rows, prog.t + 1)]
+
+
+def relation_vectors_by_expansion(prog: Progression, cap: int):
+    """Relation vectors (b_{ik} layout, the unknown order of `progression`)
+    as the textbook kernel of the Fraction system over the Horner grids of
+    C(x + P_i(y), k) (`progression` solves the integer system of its scaled
+    expansion table and rescales the kernel)."""
+    polys = prog.all_polys()
+    grids = [binom_of_shift(polys[i], k).terms
+             for i in range(prog.t + 1) for k in range(1, cap + 1)]
+    columns = sorted({c for g in grids for c in g}, key=_cell_order)
+    rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
+    return tuple(tuple(v) for v in _rref_kernel(rows, len(grids)))
 
 
 def intersect_row_spaces(rows_a, rows_b):

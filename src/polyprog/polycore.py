@@ -96,10 +96,6 @@ class UniPoly:
             acc = acc * arg + UniPoly([c])
         return acc
 
-    def shift(self, h):
-        """p(u + h)."""
-        return self.compose_linear(1, h)
-
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
@@ -207,10 +203,6 @@ class BiPoly:
     @classmethod
     def zero(cls):
         return cls()
-
-    @classmethod
-    def from_unipoly_in_x(cls, p: UniPoly):
-        return cls({(k, 0): c for k, c in enumerate(p.coeffs)})
 
     @classmethod
     def from_unipoly_in_y(cls, p: UniPoly):

@@ -3,9 +3,10 @@
 A progression (x, x+P_1(y), ..., x+P_t(y)) of distinct nonzero integral
 polynomials satisfies algebraic relations: tuples (Q_0, ..., Q_t) with
 Q_0(x) + Q_1(x+P_1(y)) + ... + Q_t(x+P_t(y)) identically zero.  This module
-computes exactly: expansions, equation matrices and eliminations run in
-integers, and `Fraction` appears only where values are stored or reported
-(expansion tables, relation vectors, layer bases):
+computes exactly: the expansion tables hold integer grids with one scale per
+degree, equation matrices and eliminations run in integers, and `Fraction`
+appears only in the values read back from them (relation vectors, layer
+coordinates, reported relations):
 
   * a basis of all relations up to a degree cap (relation_space),
   * per-index algebraic complexity (largest degree a relation forces at a
@@ -36,7 +37,6 @@ from . import ratlinalg as rl
 from .polycore import (
     BiPoly,
     UniPoly,
-    binomial_poly,
     compose_shift,
     from_binomial_basis,
     is_integral,
@@ -179,8 +179,9 @@ def _scaled_polys(prog: Progression):
 
 @lru_cache(maxsize=256)
 def _expansions(prog: Progression, cap: int):
-    """For each index i and degree k <= cap, the monomial coordinates
-    {(a, b): coeff of x^a y^b} of C(x + P_i(y), k).
+    """(table, scales): for each index i and degree k <= cap, the integer
+    grid table[(i, k)] = {(a, b): coeff of x^a y^b in d_k C(x + P_i(y), k)},
+    and scales[k] = d_k = k! L^k.
 
     Computed once per (progression, cap) by the Vandermonde convolution
     C(x + P, k) = sum_j C(x, k-j) C(P, j), in integers: with Q = L*P and
@@ -189,7 +190,8 @@ def _expansions(prog: Progression, cap: int):
         k! L^k C(x + P, k) = sum_j C(k, j) L^(k-j) F_{k-j}(x) N_j(y).
     The monomial grid is what makes the canonical layer bases come out in
     the expected small form (x, y, y^3, ... rather than binomial
-    recombinations)."""
+    recombinations); a scale shared by all rows of one degree changes no
+    canonical basis."""
     cost = exact_layer_cost(prog, cap)
     if cost > EXACT_LAYER_BUDGET:
         raise ExactLayerBudgetExceeded(
@@ -214,28 +216,26 @@ def _expansions(prog: Progression, cap: int):
                         for b, cb in enumerate(numer[j]):
                             if cb:
                                 row[b] += wa * cb
-            den = factorial(k) * scale ** k
-            table[(i, k)] = {(a, b): Fraction(v, den)
-                             for a, row in enumerate(grid) for b, v in enumerate(row) if v}
-    return table
+            table[(i, k)] = {(a, b): v for a, row in enumerate(grid)
+                             for b, v in enumerate(row) if v}
+    return table, tuple(factorial(k) * scale ** k for k in range(cap + 1))
 
 
-def _grid_columns(grids):
-    cols = set()
-    for g in grids:
-        cols.update(g.keys())
-    return sorted(cols, key=lambda ab: (ab[0] + ab[1], ab[1], ab[0]))
-
-
-def _rows_over_columns(grids, columns):
+def _layer_rows(prog: Progression, cap: int):
+    """(columns, rows, scales): the grid cells of all degrees <= cap, per
+    degree k the integer rows d_k C(x + P_i(y), k), i = 0..t, over them,
+    and the scales d_k."""
+    table, scales = _expansions(prog, cap)
+    columns = sorted({c for g in table.values() for c in g},
+                     key=lambda ab: (ab[0] + ab[1], ab[1], ab[0]))
     index = {c: j for j, c in enumerate(columns)}
-    rows = []
-    for g in grids:
+    rows = {k: [] for k in range(1, cap + 1)}
+    for (i, k), g in table.items():     # i-major, so rows[k] is in index order
         row = [0] * len(columns)
-        for key, v in g.items():
-            row[index[key]] = int(v) if isinstance(v, int) else v
-        rows.append(row)
-    return rows
+        for c, v in g.items():
+            row[index[c]] = v
+        rows[k].append(row)
+    return columns, rows, scales
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +247,6 @@ def relation_space(prog: Progression, cap: int) -> RelationSpace:
     Unknowns are the binomial coordinates b_{ik} (no constant terms, which
     kills the trivial constants-summing-to-zero kernel); the linear system
     says every grid coordinate of sum_i Q_i(x+P_i(y)) vanishes."""
-    if cap < 1:
-        raise ValueError("relation cap must be >= 1")
     # cap+1 first: the budget check in _expansions then refuses before any work
     basis_next = _relation_vectors(prog, cap + 1)
     basis = _relation_vectors(prog, cap)
@@ -265,20 +263,23 @@ def relation_space(prog: Progression, cap: int) -> RelationSpace:
 
 @lru_cache(maxsize=512)
 def _relation_vectors(prog: Progression, cap: int):
-    table = _expansions(prog, cap)
+    if cap < 1:
+        raise ValueError("relation cap must be >= 1")
+    _, layer_rows, scales = _layer_rows(prog, cap)
     unknowns = [(i, k) for i in range(prog.t + 1) for k in range(1, cap + 1)]
-    grids = [table[u] for u in unknowns]
-    columns = _grid_columns(grids)
-    if not columns:
-        return tuple()
-    index = {c: j for j, c in enumerate(columns)}
-    # Equation matrix: one row per grid cell, one column per unknown.
-    rows = [[0] * len(unknowns) for _ in columns]
-    for uj, g in enumerate(grids):
-        for key, v in g.items():
-            rows[index[key]][uj] = v
-    kernel = rl.kernel_basis(rows, ncols=len(unknowns))
-    return tuple(tuple(v) for v in kernel)
+    # Equation matrix M' = M D: one row per grid cell, one column per
+    # unknown, with the true coefficient matrix M scaled by d_k per column.
+    rows = list(zip(*(layer_rows[k][i] for i, k in unknowns)))
+    # ker M = D ker M'.  Scaling columns by units mod p keeps the pivot
+    # columns, so each vector is rescaled to read 1 at its free column
+    # again, which in the leftmost-pivot form is its last nonzero entry (a
+    # prescan prime that skews the pivots only changes a vector's scale).
+    d = [scales[k] for _, k in unknowns]
+    out = []
+    for w in rl.kernel_basis(rows, ncols=len(unknowns)):
+        free = max(j for j, x in enumerate(w) if x)
+        out.append(tuple(x * d[j] / d[free] for j, x in enumerate(w)))
+    return tuple(out)
 
 
 def _relation_from_vector(prog: Progression, cap: int, vec):
@@ -438,26 +439,15 @@ def graded_spaces(prog: Progression, k_max: int, cap: int | None = None) -> Grad
         cap = max(prog.default_cap(), k_max)
     if k_max < 1 or cap < k_max:
         raise ValueError("need 1 <= k_max <= cap")
-    table = _expansions(prog, cap)
-    all_grids = {k: [table[(i, k)] for i in range(prog.t + 1)] for k in range(1, cap + 1)}
-    columns = _grid_columns([g for gs in all_grids.values() for g in gs])
+    columns, layer_rows, _ = _layer_rows(prog, cap)
     relations = _relation_vectors(prog, cap)
     layers = []
     for k in range(1, k_max + 1):
-        rows = _rows_over_columns(all_grids[k], columns)
-        basis_rows = rl.canonical_basis(rows)
+        basis_rows = rl.canonical_basis(layer_rows[k])
         # w = sum_i b_i C(x+P_i, k) lies in the other layers exactly when
         # (b at degree k, minus its other-degree expression) is a relation,
         # so the shared part is the degree-k image of the relation space.
-        images = []
-        for v in relations:
-            image = [0] * len(columns)
-            for i, row in enumerate(rows):
-                c = v[i * cap + (k - 1)]
-                if c:
-                    image = [x + c * y for x, y in zip(image, row)]
-            images.append(image)
-        shared_rows = rl.canonical_basis(images)
+        shared_rows = rl.canonical_basis(_degree_images(relations, layer_rows[k], cap, k))
         proper_rows = rl.extend_basis(shared_rows, basis_rows)
         layers.append(DegreeLayer(
             k=k,
@@ -468,6 +458,20 @@ def graded_spaces(prog: Progression, k_max: int, cap: int | None = None) -> Grad
         if len(shared_rows) + len(proper_rows) != len(basis_rows):
             raise AssertionError("layer dimensions inconsistent")
     return GradedSpaces(layers=tuple(layers), cap=cap)
+
+
+def _degree_images(relations, rows, cap, k):
+    """Per relation vector v, sum_i v_ik rows[i]: the degree-k part of the
+    relation over the degree-k rows."""
+    images = []
+    for v in relations:
+        image = [0] * len(rows[0])
+        for i, row in enumerate(rows):
+            c = v[i * cap + (k - 1)]
+            if c:
+                image = [x + c * y for x, y in zip(image, row)]
+        images.append(image)
+    return images
 
 
 def _row_to_bipoly(row, columns):
@@ -491,20 +495,14 @@ def is_homogeneous(prog: Progression, cap: int | None = None):
     Decision by dimension comparison: the relation space equals the span of
     the single-degree relations exactly in the homogeneous case, and the two
     computations share no code path.  On failure the witness carries a
-    nonzero shared polynomial and a reconstructed degree-mixing relation.
+    nonzero shared polynomial and a degree-mixing relation, both read off
+    the relation kernel.
     """
     if cap is None:
         cap = prog.default_cap()
-    decision = _homogeneous_decision(prog, cap)
-    if decision:
+    if _homogeneous_decision(prog, cap):
         return True, None
-    # Slow path: locate a nonzero shared element and rebuild a relation.
-    graded = graded_spaces(prog, k_max=cap, cap=cap)
-    for layer in graded.layers:
-        if layer.shared:
-            witness = _witness_from_shared(prog, cap, layer.k, layer.shared[0])
-            return False, witness
-    raise AssertionError("dimension test and layer intersection disagree")
+    return False, _inhomogeneity_witness(prog, cap)
 
 
 @lru_cache(maxsize=512)
@@ -524,31 +522,28 @@ def homogeneity_report(prog: Progression, cap: int | None = None):
     return {"homogeneous": homog, "cap": cap, "stabilized": stab, "witness": witness}
 
 
-def _witness_from_shared(prog: Progression, cap: int, k: int, shared_poly: BiPoly):
-    """Rebuild a degree-mixing relation from a nonzero shared polynomial:
-    express it inside the degree-k layer and inside the other layers, then
-    subtract."""
-    table = _expansions(prog, cap)
-    grids_k = [table[(i, k)] for i in range(prog.t + 1)]
-    other_keys = [(i, j) for j in range(1, cap + 1) if j != k for i in range(prog.t + 1)]
-    grids_other = [table[key] for key in other_keys]
-    columns = _grid_columns(grids_k + grids_other)
-    target = [shared_poly.terms.get(c, Fraction(0)) for c in columns]
-    in_k = rl.coordinates_in_rows(target, _rows_over_columns(grids_k, columns))
-    in_other = rl.coordinates_in_rows(target, _rows_over_columns(grids_other, columns))
-    if in_k is None or in_other is None:
-        raise AssertionError("shared polynomial must lie in both spans")
-    qs = [UniPoly.zero()] * (prog.t + 1)
-    for i, b in enumerate(in_k):
-        if b:
-            qs[i] = qs[i] + binomial_poly(k).scale(b)
-    for (i, j), c in zip(other_keys, in_other):
-        if c:
-            qs[i] = qs[i] - binomial_poly(j).scale(c)
-    rel = Relation(qs=tuple(qs))
-    if not rel.holds_for(prog):
-        raise AssertionError("reconstructed witness relation fails expansion")
-    return InhomogeneityWitness(k=k, shared_poly=shared_poly, relation=rel)
+def _inhomogeneity_witness(prog: Progression, cap: int):
+    """At the first degree k where some relation vector has a nonzero
+    image, the first canonical row of the images is the shared polynomial
+    (graded_spaces' layer(k).shared[0]), and the combination of relation
+    vectors whose degree-k image is exactly that polynomial is the witness
+    relation: it vanishes while its degree-k part does not."""
+    columns, layer_rows, scales = _layer_rows(prog, cap)
+    relations = _relation_vectors(prog, cap)
+    for k in range(1, cap + 1):
+        images = _degree_images(relations, layer_rows[k], cap, k)
+        if not any(any(image) for image in images):
+            continue
+        shared = rl.canonical_basis(images)[0]
+        # the rows, and so the images, carry the scale d_k
+        coords = rl.coordinates_in_rows([scales[k] * x for x in shared], images)
+        vec = [sum(c * x for c, x in zip(coords, col) if c) for col in zip(*relations)]
+        rel = _relation_from_vector(prog, cap, vec)
+        if not rel.holds_for(prog):
+            raise AssertionError("witness relation fails expansion")
+        return InhomogeneityWitness(k=k, shared_poly=_row_to_bipoly(shared, columns),
+                                    relation=rel)
+    raise AssertionError("dimension test and relation kernel disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -574,22 +569,23 @@ def coeff_space(prog: Progression, k: int, cap: int | None = None) -> CoeffSpace
         raise ValueError("degree must be >= 1")
     if cap is None:
         cap = max(prog.default_cap(), k)
-    table = _expansions(prog, cap)
-    grids = [table[(i, k)] for i in range(prog.t + 1)]
-    columns = _grid_columns(grids)
-    comp_rows = _rows_over_columns(grids, columns)
+    columns, layer_rows, scales = _layer_rows(prog, cap)
+    # only the cells of degree k: the Fraction back-solves below scale with width
+    used = [j for j in range(len(columns)) if any(row[j] for row in layer_rows[k])]
+    columns = [columns[j] for j in used]
+    comp_rows = [[row[j] for j in used] for row in layer_rows[k]]
     basis_rows = rl.canonical_basis(comp_rows)
-    # Components over the layer basis; columns of the coordinate matrix are
-    # the decomposition vectors.
+    # Components over the layer basis (the rows carry the scale d_k);
+    # columns of the coordinate matrix are the decomposition vectors.
     coord_matrix = []
     for row in comp_rows:
         coords = rl.coordinates_in_rows(row, basis_rows)
         if coords is None:
             raise AssertionError("layer component must lie in the layer span")
-        coord_matrix.append(coords)
+        coord_matrix.append([c / scales[k] for c in coords])
     vectors = [tuple(coord_matrix[i][j] for i in range(prog.t + 1))
                for j in range(len(basis_rows))]
-    if rl.rank([list(v) for v in vectors], ncols=prog.t + 1) != len(basis_rows):
+    if rl.rank(vectors) != len(basis_rows):
         raise AssertionError("decomposition vectors must be independent")
     _verify_coeff_space_definitions(prog, k, vectors)
     pairs = tuple((_row_to_bipoly(r, columns), v) for r, v in zip(basis_rows, vectors))

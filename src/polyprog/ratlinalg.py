@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals, plus integer lattice utilities.
 
-Eliminations work in integers: rows are scaled to integers first, and
-`Fraction` appears in returned values and in the small back-solves of
+Eliminations work in integers: `kernel_basis` takes integer rows, the
+other routines scale rational rows to integers first, and `Fraction`
+appears in returned values and in the small back-solves of
 `coordinates_in_rows`.  Kernels
 of the large integer matrices produced by relation solving are computed
 with a modular pre-pass (numpy, word-sized prime) that guesses the pivot
@@ -107,7 +108,7 @@ def _bareiss_solve(aug, npiv):
 
 
 def kernel_basis(rows, ncols=None):
-    """Exact basis of {v : A v = 0} for A given as integer/Fraction rows.
+    """Exact basis of {v : A v = 0} for A given as integer rows.
 
     The basis is in reduced form relative to the modular pivot choice:
     vector j has value 1 at the j-th free column and 0 at the others.
@@ -117,7 +118,7 @@ def kernel_basis(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    int_rows = [r for r in _as_int_rows(rows) if any(r)]
+    int_rows = [r for r in rows if any(r)]
     if not int_rows or ncols == 0:
         return [_unit_vector(ncols, j) for j in range(ncols)]
     for p in _PRIMES:
@@ -165,11 +166,9 @@ def _kernel_attempt(int_rows, ncols, p):
     return [tuple(Fraction(x, det) for x in w) for w in scaled]
 
 
-def rank(rows, ncols=None):
-    """Exact rank via the certified kernel."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return ncols - len(kernel_basis(rows, ncols))
+def rank(rows):
+    """Exact rank of rational rows: the pivot count of their echelon form."""
+    return len(_integer_echelon(rows)[1])
 
 
 def rref(rows):

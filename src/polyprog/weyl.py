@@ -28,8 +28,7 @@ import numpy as np
 
 from . import ratlinalg as rl
 from .polycore import BiPoly, bipoly_to_binomial_grid, to_binomial_basis
-from .progression import Progression, Relation, graded_spaces, _expansions, \
-    _grid_columns, _rows_over_columns
+from .progression import Progression, Relation, graded_spaces, _layer_rows
 
 FRAC_BITS = 256
 _SCALE = 1 << FRAC_BITS
@@ -336,9 +335,7 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
     if cap is None:
         cap = max(prog.default_cap(), s)
     graded = graded_spaces(prog, k_max=s, cap=cap)
-    table = _expansions(prog, cap)
-    all_grids = [table[(i, k)] for k in range(1, cap + 1) for i in range(prog.t + 1)]
-    columns = _grid_columns(all_grids)
+    columns, layer_rows, scales = _layer_rows(prog, cap)
 
     def poly_row(bp):
         return [bp.terms.get(c, Fraction(0)) for c in columns]
@@ -355,16 +352,16 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
         layer = graded.layer(i)
         proper_rows = [poly_row(q) for q in layer.proper]
         combined = proper_rows + [list(r) for r in shared_basis_rows]
-        if combined and rl.rank([list(r) for r in combined]) != len(combined):
+        if combined and rl.rank(combined) != len(combined):
             raise AssertionError(
                 "proper representatives and shared basis must be independent")
-        comp_rows = _rows_over_columns(
-            [table[(c, i)] for c in range(prog.t + 1)], columns)
         vmat, wmat = [], []
-        for row in comp_rows:
+        for row in layer_rows[i]:
             coords = rl.coordinates_in_rows(row, combined) if combined else None
             if coords is None:
                 raise AssertionError("component must decompose over the layer")
+            # the layer rows carry the scale d_i
+            coords = [c / scales[i] for c in coords]
             vmat.append(coords[:len(proper_rows)])
             wmat.append(coords[len(proper_rows):])
         vvecs = [tuple(vmat[c][j] for c in range(prog.t + 1))

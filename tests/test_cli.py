@@ -162,6 +162,14 @@ def test_weyl_rejects_zero_modulus(tmp_path, capsys):
     assert code == 2 and not out and "N must be >= 1" in err
 
 
+def test_zero_cap_is_refused(capsys):
+    code, out, err = run_cli(capsys, "relations", "x, x+y, x+2y", "--cap", "0")
+    assert code == 2 and not out and "relation cap must be >= 1" in err
+    code, out, err = run_cli(capsys, "count", "x, x+y, x+2y, x+3y", "--N", "11",
+                             "--alpha", "0.5", "--cap", "0")
+    assert code == 2 and not out and "relation cap must be >= 1" in err
+
+
 def test_analyze_refuses_exact_layer_above_budget(capsys):
     import time
     start = time.perf_counter()

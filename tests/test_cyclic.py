@@ -284,13 +284,6 @@ def test_build_obstruction_gcd_guard():
         build_obstruction(AP3, half, 2, 1)
 
 
-def test_signal_boundedness_flag(tmp_path):
-    good = Signal(np.exp(2j * np.pi * RNG.random(16)))
-    assert good.one_bounded()
-    bad = Signal(np.full(16, 1.5 + 0j))
-    assert not bad.one_bounded()
-
-
 def test_read_subset_roundtrip(tmp_path):
     mask = bernoulli_subset(31, 0.4, 99)
     path = tmp_path / "subset.txt"

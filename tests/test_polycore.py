@@ -74,19 +74,19 @@ def test_views_agree_on_evaluation(coeffs, u):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_derivative_shifts_binomial_index(k):
     q = binomial_poly(k)
-    assert q.shift(1) - q == binomial_poly(k - 1)
+    assert q.compose_linear(1, 1) - q == binomial_poly(k - 1)
 
 
 def test_derivative_examples():
-    assert Y2.shift(1) - Y2 == UniPoly((1, 2))          # 2u + 1
-    assert UniPoly((5,)).shift(1) - UniPoly((5,)) == UniPoly.zero()
+    assert Y2.compose_linear(1, 1) - Y2 == UniPoly((1, 2))          # 2u + 1
+    assert UniPoly((5,)).compose_linear(1, 1) - UniPoly((5,)) == UniPoly.zero()
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_iterated_derivative_of_binomial_is_one(k):
     p = binomial_poly(k)
     for _ in range(k):
-        p = p.shift(1) - p
+        p = p.compose_linear(1, 1) - p
     assert p == UniPoly((1,))
 
 
@@ -101,7 +101,7 @@ def test_derivative_preserves_integer_values():
     rng = random.Random(0)
     for _ in range(25):
         p = from_binomial_basis([0] + [rng.randint(-5, 5) for _ in range(4)])
-        d = p.shift(1) - p
+        d = p.compose_linear(1, 1) - p
         assert all(d(u).denominator == 1 for u in range(-10, 11))
         assert is_integral(d - UniPoly([d(0)]))
 

@@ -205,7 +205,7 @@ def test_direct_sum_dimensions():
                               for p in prog_cells(prog, j) for c in p})
             rows = [[cell.get(c, Fraction(0)) for c in columns]
                     for j in range(1, k + 1) for cell in prog_cells(prog, j)]
-            v_dim = rl.rank(rows, len(columns))
+            v_dim = rl.rank(rows)
             proper_total = sum(g.layer(j).proper_dim for j in range(1, k + 1))
             shared_rows = [[w.terms.get(c, Fraction(0)) for c in columns]
                            for layer in g.layers for w in layer.shared]
@@ -295,18 +295,26 @@ def test_homogeneity_matches_layer_route():
                            for k in range(1, cap + 1))
 
 
+COORDS = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3)
+
+
+@st.composite
+def inhomogeneous_family(draw):
+    """x, x+aP, x+bP, x+cP^2 for P of degree <= 3 (binomial coordinates)."""
+    base = from_binomial_basis([0] + draw(COORDS.filter(any)))
+    a, b = draw(st.lists(st.sampled_from((-2, -1, 1, 2, 3)), min_size=2,
+                         max_size=2, unique=True))
+    c = draw(st.sampled_from((-2, -1, 1, 2)))
+    return progression(base * a, base * b, (base * base) * c)
+
+
 @st.composite
 def small_progressions(draw):
     """Random integral progressions with t <= 3 and degree <= 3 (binomial
     coordinates), or the inhomogeneous family x, x+aP, x+bP, x+cP^2."""
-    coords = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=3)
     if draw(st.booleans()):
-        base = from_binomial_basis([0] + draw(coords.filter(any)))
-        a, b = draw(st.lists(st.sampled_from((-2, -1, 1, 2, 3)), min_size=2,
-                             max_size=2, unique=True))
-        c = draw(st.sampled_from((-2, -1, 1, 2)))
-        return progression(base * a, base * b, (base * base) * c)
-    polys = draw(st.lists(coords.filter(any).map(lambda cs: from_binomial_basis([0] + cs)),
+        return draw(inhomogeneous_family())
+    polys = draw(st.lists(COORDS.filter(any).map(lambda cs: from_binomial_basis([0] + cs)),
                           min_size=1, max_size=3, unique=True))
     return progression(*polys)
 
@@ -316,10 +324,41 @@ def small_progressions(draw):
 def test_expansions_match_horner_route(prog):
     from polyprog.progression import _expansions
     cap = prog.default_cap()
-    table = _expansions(prog, cap)
+    table, scales = _expansions(prog, cap)
     for i, p in enumerate(prog.all_polys()):
         for k in range(1, cap + 1):
-            assert table[(i, k)] == binom_of_shift(p, k).terms
+            assert all(type(v) is int for v in table[(i, k)].values())
+            assert {c: Fraction(v, scales[k]) for c, v in table[(i, k)].items()} == \
+                binom_of_shift(p, k).terms
+
+
+@given(small_progressions())
+@settings(max_examples=15, deadline=None)
+def test_relation_vectors_match_expansion_route(prog):
+    # the integer system and its rescaled kernel give exactly the textbook
+    # kernel of the Fraction system
+    from polyprog.progression import _relation_vectors
+    cap = prog.default_cap()
+    for c in (cap, cap + 1):
+        assert _relation_vectors(prog, c) == oracle.relation_vectors_by_expansion(prog, c)
+
+
+@given(inhomogeneous_family())
+@settings(max_examples=30, deadline=None)
+def test_witness_is_read_off_the_kernel(prog):
+    cap = prog.default_cap()
+    flag, witness = is_homogeneous(prog, cap)
+    assert not flag
+    g = graded_spaces(prog, cap, cap)
+    assert witness.k == next(layer.k for layer in g.layers if layer.shared)
+    assert witness.shared_poly == g.layer(witness.k).shared[0]
+    assert witness.relation.holds_for(prog)
+    image = BiPoly.zero()
+    for q, p in zip(witness.relation.qs, prog.all_polys()):
+        bs = to_binomial_basis(q)
+        if len(bs) > witness.k:
+            image = image + binom_of_shift(p, witness.k) * bs[witness.k]
+    assert image == witness.shared_poly
 
 
 @given(small_progressions())

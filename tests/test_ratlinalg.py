@@ -84,7 +84,7 @@ def test_rank_plus_nullity():
     for _ in range(50):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        assert rl.rank(rows, n) + len(rl.kernel_basis(rows, n)) == n
+        assert rl.rank(rows) + len(rl.kernel_basis(rows, n)) == n
 
 
 def test_rref_transform_identity():
@@ -116,8 +116,8 @@ def test_intersection_contained_in_both():
             assert rl.in_row_space(v, a)
             assert rl.in_row_space(v, b)
         # dimension formula
-        dim_sum = rl.rank([*a, *b], n)
-        assert len(inter) == rl.rank(a, n) + rl.rank(b, n) - dim_sum
+        dim_sum = rl.rank([*a, *b])
+        assert len(inter) == rl.rank(a) + rl.rank(b) - dim_sum
 
 
 def test_extend_basis_covers():
@@ -181,7 +181,7 @@ def test_integer_annihilator_orthogonal():
         for eta in ann:
             for row in rows:
                 assert sum(a * b for a, b in zip(eta, row)) == 0
-        assert len(ann) == n - rl.rank(rows, n)
+        assert len(ann) == n - rl.rank(rows)
 
 
 def test_kernel_survives_prime_divisible_entries():
