@@ -231,16 +231,19 @@ def cmd_weyl(cfg: Config, args):
     system, expr, deps, raw = load_scenario(args.scenario)
     n = _check_modulus(int(raw.get("N", cfg.n_weyl)) if args.N is None else args.N)
     radius = int(raw.get("radius", cfg.radius))
-    closure = weyl.closure_subspaces(expr.progression, system, deps=deps or None,
-                                     cap=cfg.cap)
-    table = weyl.equidistribution_test(system, expr.progression, closure, n,
-                                       radius=radius, threads=cfg.threads)
+    prog = expr.progression
+    weyl.check_sweep_cost(system, prog, n, radius)
+    closure = weyl.closure_subspaces(prog, system, deps=deps or None, cap=cfg.cap)
+    # one tail table serves the sweep and the confinement check
+    tails = weyl._orbit_tail_tables(system, prog, n)
+    table = weyl.equidistribution_test(system, prog, closure, n, radius=radius,
+                                       threads=cfg.threads, tails=tails)
     doc = closure.to_json()
     doc["progression"] = expr.canonical
     doc["discrepancy"] = table.to_json()
     passed = table.worst_generic() <= cfg.decay_threshold
     if len(closure.coset_shifts) > 1:
-        dist = weyl.coset_confinement(system, expr.progression, closure, n)
+        dist = weyl.coset_confinement(system, prog, closure, n, tails=tails)
         doc["confinement_distance"] = dist
         passed = passed and dist <= cfg.confinement_tol
     doc["passed"] = passed

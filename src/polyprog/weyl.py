@@ -28,7 +28,8 @@ import numpy as np
 
 from . import ratlinalg as rl
 from .polycore import BiPoly, bipoly_to_binomial_grid, to_binomial_basis
-from .progression import Progression, Relation, graded_spaces, _layer_rows
+from .progression import (Progression, Relation, graded_spaces, _layer_rows,
+                          _scaled_polys)
 
 FRAC_BITS = 256
 _SCALE = 1 << FRAC_BITS
@@ -538,17 +539,20 @@ class DiscrepancyTable:
 def _orbit_tail_tables(w: WeylSystem, prog: Progression, n: int):
     """tails[kappa][l][c][y] = frac(tail_{kappa,l}(P_c(y))) as floats, where
     the coordinate of the orbit tuple splits as
-    coord(l, c)(x, y) = sum_kappa C(x, kappa) * tail_{kappa,l}(P_c(y))."""
+    coord(l, c)(x, y) = sum_kappa C(x, kappa) * tail_{kappa,l}(P_c(y)).
+
+    P_c(y) is evaluated exactly from the L-scaled integer coefficients."""
     s = w.order
     gens = w.gens_fp()
     base = [_coeff_fp(b) for b in w.base]
-    polys = prog.all_polys()
-    shift_vals = [[int(p(y)) for y in range(n)] for p in polys]
-    tails = np.zeros((s + 1, s, len(polys), n))
-    for c, vals in enumerate(shift_vals):
+    scale, scaled = _scaled_polys(prog)
+    tails = np.zeros((s + 1, s, len(scaled), n))
+    for c, q in enumerate(scaled):
         for y in range(n):
-            u = vals[y]
-            binoms = [binom_int(u, d) for d in range(s + 1)]
+            u = 0
+            for coeff in reversed(q):
+                u = u * y + coeff
+            binoms = [binom_int(u // scale, d) for d in range(s + 1)]
             for kappa in range(s + 1):
                 for l in range(s):
                     acc = base[l] if kappa == 0 else 0
@@ -581,24 +585,35 @@ def _phase_rows(tails, freqs, ncomp):
     return b
 
 
-def character_average(tails, freqs, ncomp):
-    """E_{x,y} e(eta . orbit tuple) via the split phase
-    sum_kappa C(x,kappa) * B_kappa(y).
+# Characters per ladder run.  On 416 characters at N = 1500 (2-vCPU
+# machine) one ladder per character took 4.76 s, and blocks of 4, 8, 12, 16
+# and 24 characters 2.92, 2.62, 2.46, 2.64 and 2.92 s: larger blocks fall
+# out of cache.
+_SWEEP_BLOCK = 12
+
+
+def character_average(tails, freq_block, ncomp):
+    """E_{x,y} e(eta . orbit tuple) for each eta in `freq_block`, via the
+    split phase sum_kappa C(x,kappa) * B_kappa(y).
 
     The x sum runs as a multiplicative difference ladder: with
     u_j(x) = e(sum_kappa C(x, kappa - j) B_kappa), the binomial recurrence
     gives u_j(x+1) = u_j(x) u_{j+1}(x), so each x step costs a few vector
     multiplies instead of a fresh 4M-point exponential.  Unit-modulus drift
-    over the walk is ~n*eps, far below the thresholds in play."""
-    b = _phase_rows(tails, freqs, ncomp)
-    s1, n = b.shape
-    ladder = [np.exp(TWO_PI * 1j * b[j]) for j in range(s1)]
-    acc = np.zeros(n, dtype=np.complex128)
+    over the walk is ~n*eps, far below the thresholds in play.  The block's
+    characters share one (s+1, chars, n) ladder; every element goes through
+    the same multiplies and adds as on a ladder of its own, and each row is
+    summed by the same pairwise sum, so the averages do not depend on the
+    block."""
+    b = np.stack([_phase_rows(tails, freqs, ncomp) for freqs in freq_block], axis=1)
+    s1, _, n = b.shape
+    ladder = np.exp(TWO_PI * 1j * b)
+    acc = np.zeros(b.shape[1:], dtype=np.complex128)
     for _ in range(n):
         acc += ladder[0]
         for j in range(s1 - 1):
-            ladder[j] = ladder[j] * ladder[j + 1]
-    return complex(acc.sum() / (n * n))
+            np.multiply(ladder[j], ladder[j + 1], out=ladder[j])
+    return [complex(total / (n * n)) for total in acc.sum(axis=1)]
 
 
 def enumerate_characters(dim, radius):
@@ -635,42 +650,84 @@ def classify_character(freqs, closure: AffineClosure):
     return "constant"
 
 
+# Refusal threshold for the character sweep, in characters x N^2 x (s+1)
+# (the ladder's complex multiplies and adds).  On a 2-vCPU machine the
+# README scenario (416 characters, N = 2000, s = 2: cost 5.0e9) swept in
+# 4.4-4.5 s, and the ceiling allows four times that cost.
+SWEEP_BUDGET = 2 * 10 ** 10
+
+
+class SweepBudgetExceeded(RuntimeError):
+    pass
+
+
+def check_sweep_cost(w: WeylSystem, prog: Progression, n: int, radius: int):
+    """Refuse a character sweep whose cost characters x N^2 x (s+1) exceeds
+    SWEEP_BUDGET, counting the characters of enumerate_characters without
+    listing them: the ball |eta|_1 <= radius in Z^D holds
+    sum_j 2^j C(D, j) C(radius, j) points, and sign dedup halves the nonzero
+    ones."""
+    if radius < 0:
+        raise ValueError(f"character radius must be >= 0, got {radius}")
+    dim = w.order * (prog.t + 1)
+    points = sum(2 ** j * math.comb(dim, j) * math.comb(radius, j)
+                 for j in range(min(dim, radius) + 1))
+    cost = (points - 1) // 2 * n * n * (w.order + 1)
+    if cost > SWEEP_BUDGET:
+        raise SweepBudgetExceeded(
+            f"character sweep cost {cost} exceeds budget {SWEEP_BUDGET} "
+            f"(characters x N^2 x (s+1))")
+    return cost
+
+
 def equidistribution_test(w: WeylSystem, prog: Progression,
                           closure: AffineClosure, n: int, radius: int = 3,
-                          extra_characters=(), threads: int = 1):
+                          extra_characters=(), threads: int = 1, tails=None):
     """Character averages over the orbit tuple for x, y < n.
 
     Characters orthogonal to the closure (subspace and coset lattice) must
     track the offset with modulus ~1; characters orthogonal to the subspace
-    only are reported as confined; everything else must decay.  Worker
-    threads (numpy releases the GIL on the big exponentials) change nothing
-    in the output: rows are merged in enumeration order.
+    only are reported as confined; everything else must decay.  Characters
+    are swept in blocks of _SWEEP_BLOCK; worker threads (numpy releases the
+    GIL on the big array operations) take whole blocks and change nothing in
+    the output: rows are merged in enumeration order.  `tails` is the
+    _orbit_tail_tables(w, prog, n) table when the caller has built it.
     """
-    tails = _orbit_tail_tables(w, prog, n)
+    if tails is None:
+        tails = _orbit_tail_tables(w, prog, n)
     ncomp = closure.components
     freq_list = enumerate_characters(closure.ambient_dim, radius)
     for extra in extra_characters:
         extra = tuple(int(v) for v in extra)
         if extra not in freq_list:
             freq_list.append(extra)
+    blocks = [freq_list[i:i + _SWEEP_BLOCK]
+              for i in range(0, len(freq_list), _SWEEP_BLOCK)]
 
-    def one(freqs):
-        avg = character_average(tails, freqs, ncomp)
-        return DiscrepancyRow(frequencies=tuple(freqs),
-                              kind=classify_character(freqs, closure),
-                              magnitude=abs(avg))
+    def sweep(block):
+        return character_average(tails, block, ncomp)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, freq_list))
+            parts = list(pool.map(sweep, blocks))
     else:
-        rows = [one(freqs) for freqs in freq_list]
+        parts = [sweep(block) for block in blocks]
+    averages = [avg for part in parts for avg in part]
+    rows = [DiscrepancyRow(frequencies=tuple(freqs),
+                           kind=classify_character(freqs, closure),
+                           magnitude=abs(avg))
+            for freqs, avg in zip(freq_list, averages)]
     return DiscrepancyTable(n=n, radius=radius, rows=rows)
 
 
+# Rows of x per confinement block: its arrays are (k, 128, N), a few MB at
+# N = 2000, where whole (k, N, N) planes would take hundreds of MB.
+_CONFINEMENT_ROWS = 128
+
+
 def coset_confinement(w: WeylSystem, prog: Progression,
-                      closure: AffineClosure, n: int):
+                      closure: AffineClosure, n: int, tails=None):
     """Largest Euclidean torus distance from an orbit tuple to the coset
     union, over all x, y < n.
 
@@ -681,6 +738,9 @@ def coset_confinement(w: WeylSystem, prog: Progression,
     lattice (not blindly over Z^k), so the reported value is a true
     distance; coordinatewise rounding of lattice coefficients keeps it an
     upper bound, which is the safe direction for a confinement check.
+    The plane runs in blocks of _CONFINEMENT_ROWS values of x, and the
+    distance is bit-identical to that of one whole-plane pass.  `tails` is the
+    _orbit_tail_tables(w, prog, n) table when the caller has built it.
     """
     ann = closure.annihilator()
     if not ann:
@@ -695,28 +755,34 @@ def coset_confinement(w: WeylSystem, prog: Progression,
     h = np.array([[float(x) for x in row] for row in image])  # rows generate
     h_inv = np.linalg.inv(h.T)
     neighborhood = np.array(list(itertools.product((-1, 0, 1), repeat=k)))
-    tails = _orbit_tail_tables(w, prog, n)
+    if tails is None:
+        tails = _orbit_tail_tables(w, prog, n)
     cx = _binom_columns(n, w.order)
     ncomp = closure.components
     offset_f = np.array(closure.offset_floats())
-    phases = np.stack([character_phases(tails, cx, row, ncomp) for row in ann])
-    best = None
-    for shift in closure.coset_shifts:
-        target = np.array([
-            float(sum(Fraction(f) * x for f, x in zip(row, shift)))
-            + float(np.dot([float(f) for f in row], offset_f))
-            for row in ann])
-        resid = phases - target[:, None, None]          # (k, x, y)
-        coeff = np.tensordot(h_inv, resid, axes=(1, 0))  # lattice coords
-        base_round = np.round(coeff)
-        dist = None
-        for offs in neighborhood:
-            z = np.tensordot(h.T, base_round + offs[:, None, None], axes=(1, 0))
-            r = resid - z
-            d = np.sqrt(np.einsum("kxy,kl,lxy->xy", r, gram_inv, r))
-            dist = d if dist is None else np.minimum(dist, d)
-        best = dist if best is None else np.minimum(best, dist)
-    return float(best.max())
+    targets = [np.array([
+        float(sum(Fraction(f) * x for f, x in zip(row, shift)))
+        + float(np.dot([float(f) for f in row], offset_f))
+        for row in ann]) for shift in closure.coset_shifts]
+    # Lattice points are small integers, so z = H^T (round + offs) is exact
+    # whichever way it is summed: one product per coset, plus H^T offs.
+    steps = [h.T @ offs for offs in neighborhood]
+    peaks = []
+    for x0 in range(0, n, _CONFINEMENT_ROWS):
+        block = cx[:, x0:x0 + _CONFINEMENT_ROWS]
+        phases = np.stack([character_phases(tails, block, row, ncomp) for row in ann])
+        best = None
+        for target in targets:
+            resid = phases - target[:, None, None]          # (k, x, y)
+            coeff = np.tensordot(h_inv, resid, axes=(1, 0))  # lattice coords
+            z0 = np.tensordot(h.T, np.round(coeff), axes=(1, 0))
+            for step in steps:
+                r = resid - (z0 + step[:, None, None])
+                d2 = np.einsum("kxy,kl,lxy->xy", r, gram_inv, r)
+                best = d2 if best is None else np.minimum(best, d2)
+        peaks.append(best.max())
+    # sqrt is monotone and correctly rounded, so it commutes with min and max
+    return float(np.sqrt(np.max(peaks)))
 
 
 def character_phases(tails, cx, freqs, ncomp):

@@ -1,5 +1,6 @@
 import json
 
+from polyprog import weyl
 from polyprog.cli import main
 
 
@@ -160,6 +161,36 @@ def test_weyl_rejects_zero_modulus(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     code, out, err = run_cli(capsys, "weyl", str(path), "--N", "0")
     assert code == 2 and not out and "N must be >= 1" in err
+
+
+def test_weyl_refuses_sweep_above_budget(tmp_path, capsys):
+    import time
+    scenario = {"order": 2, "system": "generators",
+                "generators": [["sqrt2", "0"], ["0", "sqrt2+1/3"]],
+                "progression": "x, x+y, x+2y, x+y^2", "N": 20000, "radius": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "weyl", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert f"character sweep cost 499200000000 exceeds budget {weyl.SWEEP_BUDGET}" in err
+
+
+def test_weyl_builds_one_tail_table(tmp_path, capsys, monkeypatch):
+    # the dependent scenario runs both the sweep and the confinement check
+    calls = []
+    build = weyl._orbit_tail_tables
+    monkeypatch.setattr(weyl, "_orbit_tail_tables",
+                        lambda *args: calls.append(args) or build(*args))
+    scenario = {"order": 2, "system": "generators",
+                "generators": [["sqrt2", "0"], ["0", "sqrt2+1/3"]],
+                "progression": "x, x+y, x+2y, x+y^2", "N": 40, "radius": 1}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, _ = run_cli(capsys, "weyl", str(path), "--decay-threshold", "0.99")
+    assert code == 0 and "confinement_distance" in json.loads(out)
+    assert len(calls) == 1
 
 
 def test_zero_cap_is_refused(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -212,11 +213,55 @@ def test_equidistribution_classification_and_constants():
 
 
 def test_equidistribution_threads_deterministic():
+    # radius 2 gives 72 characters, six blocks for the two threads to share
     closure = closure_subspaces(HOM, STD2)
-    t1 = equidistribution_test(STD2, HOM, closure, 120, radius=1)
-    t2 = equidistribution_test(STD2, HOM, closure, 120, radius=1, threads=2)
+    t1 = equidistribution_test(STD2, HOM, closure, 120, radius=2)
+    t2 = equidistribution_test(STD2, HOM, closure, 120, radius=2, threads=2)
+    assert len(t1.rows) >= 3 * weyl._SWEEP_BLOCK
     assert [(r.frequencies, r.magnitude) for r in t1.rows] == \
         [(r.frequencies, r.magnitude) for r in t2.rows]
+
+
+def _ladder_per_character(tails, freqs, ncomp):
+    """The difference ladder on one character's own (s+1, n) rows."""
+    b = weyl._phase_rows(tails, freqs, ncomp)
+    s1, n = b.shape
+    ladder = [np.exp(weyl.TWO_PI * 1j * b[j]) for j in range(s1)]
+    acc = np.zeros(n, dtype=np.complex128)
+    for _ in range(n):
+        acc += ladder[0]
+        for j in range(s1 - 1):
+            ladder[j] = ladder[j] * ladder[j + 1]
+    return complex(acc.sum() / (n * n))
+
+
+def test_block_sweep_equals_per_character_ladder():
+    system = WeylSystem.from_generators(
+        2, [(SQRT2, 0), (0, Irrational("sqrt2", Fraction(1, 3)))],
+        base=(Fraction(9, 5), Fraction(1, 2)))
+    closure = closure_subspaces(INH, system)
+    n = 90
+    # 72 characters at radius 2 and one extra: a short last block of one
+    table = equidistribution_test(system, INH, closure, n, radius=2,
+                                  extra_characters=[(0, 0, 0, 0, 0, 0, 3, 0)])
+    assert len(table.rows) % weyl._SWEEP_BLOCK == 1
+    tails = weyl._orbit_tail_tables(system, INH, n)
+    for row in table.rows:
+        assert row.magnitude == abs(_ladder_per_character(tails, row.frequencies, 4))
+
+
+def test_sweep_cost_counts_the_enumerated_characters():
+    for system, prog in ((WeylSystem.standard(1, SQRT2, (Fraction(0),)), HOM),
+                         (STD2, INH)):
+        dim = system.order * (prog.t + 1)
+        for radius in range(4):
+            chars = len(weyl.enumerate_characters(dim, radius))
+            assert weyl.check_sweep_cost(system, prog, 30, radius) == \
+                chars * 30 ** 2 * (system.order + 1)
+    with pytest.raises(weyl.SweepBudgetExceeded):
+        weyl.check_sweep_cost(STD2, INH, 20000, 3)
+    with pytest.raises(ValueError):
+        weyl.check_sweep_cost(STD2, INH, 30, -1)
 
 
 def test_coset_confinement_small():
@@ -249,7 +294,7 @@ def test_character_average_matches_direct_orbit_evaluation():
     tails = weyl._orbit_tail_tables(system, INH, n)
     cx = weyl._binom_columns(n, 2)
     freqs = (2, -1, 0, 3, 1, 0, -2, 1)
-    fast = weyl.character_average(tails, freqs, 4)
+    fast, = weyl.character_average(tails, [freqs], 4)
     phases = weyl.character_phases(tails, cx, freqs, 4)
     total = 0j
     for x in range(n):
@@ -276,3 +321,53 @@ def test_confinement_rejects_false_closure():
         ambient_dim=8, order=2, components=4, dependencies=())
     assert coset_confinement(ind, INH, true_closure, 150) < 1e-9
     assert coset_confinement(ind, INH, lie, 150) > 0.05
+
+
+def _whole_plane_confinement(w, prog, closure, n):
+    """Confinement distance from whole (k, n, n) planes: the square root at
+    every point and one lattice product per neighbourhood offset."""
+    ann = closure.annihilator()
+    a = np.array([[float(x) for x in row] for row in ann])
+    gram_inv = np.linalg.inv(a @ a.T)
+    image = rl.hnf_rows([[row[j] for row in ann] for j in range(closure.ambient_dim)])
+    h = np.array([[float(x) for x in row] for row in image])
+    h_inv = np.linalg.inv(h.T)
+    neighborhood = np.array(list(itertools.product((-1, 0, 1), repeat=len(ann))))
+    tails = weyl._orbit_tail_tables(w, prog, n)
+    cx = weyl._binom_columns(n, w.order)
+    offset_f = np.array(closure.offset_floats())
+    phases = np.stack([weyl.character_phases(tails, cx, row, closure.components)
+                       for row in ann])
+    best = None
+    for shift in closure.coset_shifts:
+        target = np.array([
+            float(sum(Fraction(f) * x for f, x in zip(row, shift)))
+            + float(np.dot([float(f) for f in row], offset_f))
+            for row in ann])
+        resid = phases - target[:, None, None]
+        base_round = np.round(np.tensordot(h_inv, resid, axes=(1, 0)))
+        for offs in neighborhood:
+            z = np.tensordot(h.T, base_round + offs[:, None, None], axes=(1, 0))
+            r = resid - z
+            d = np.sqrt(np.einsum("kxy,kl,lxy->xy", r, gram_inv, r))
+            best = d if best is None else np.minimum(best, d)
+    return float(best.max())
+
+
+def test_blocked_confinement_equals_whole_plane():
+    # n = 250 is no multiple of the 128-row block, so the last block is short
+    dep = WeylSystem.from_generators(
+        2, [(SQRT2, 0), (0, Irrational("sqrt2", Fraction(1, 3)))],
+        base=(Fraction(9, 5), Fraction(1, 2)))
+    ind = WeylSystem.from_generators(2, [(SQRT2, 0), (0, Irrational("sqrt3"))])
+    true_closure = closure_subspaces(INH, ind)
+    lie = weyl.AffineClosure(
+        offset=true_closure.offset,
+        subspace_basis=true_closure.subspace_basis[:-1],
+        coset_shifts=(tuple(Fraction(0) for _ in range(8)),),
+        ambient_dim=8, order=2, components=4, dependencies=())
+    n = 250
+    assert n % weyl._CONFINEMENT_ROWS
+    for system, closure in ((dep, closure_subspaces(INH, dep)), (ind, lie)):
+        assert coset_confinement(system, INH, closure, n) == \
+            _whole_plane_confinement(system, INH, closure, n)
