@@ -234,6 +234,9 @@ def cmd_weyl(cfg: Config, args):
     prog = expr.progression
     weyl.check_sweep_cost(system, prog, n, radius)
     closure = weyl.closure_subspaces(prog, system, deps=deps or None, cap=cfg.cap)
+    confined = len(closure.coset_shifts) > 1
+    if confined:
+        weyl.check_confinement_cost(closure, n)
     # one tail table serves the sweep and the confinement check
     tails = weyl._orbit_tail_tables(system, prog, n)
     table = weyl.equidistribution_test(system, prog, closure, n, radius=radius,
@@ -242,7 +245,7 @@ def cmd_weyl(cfg: Config, args):
     doc["progression"] = expr.canonical
     doc["discrepancy"] = table.to_json()
     passed = table.worst_generic() <= cfg.decay_threshold
-    if len(closure.coset_shifts) > 1:
+    if confined:
         dist = weyl.coset_confinement(system, prog, closure, n, tails=tails)
         doc["confinement_distance"] = dist
         passed = passed and dist <= cfg.confinement_tol

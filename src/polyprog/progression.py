@@ -303,22 +303,14 @@ def homogeneous_relations(prog: Progression, k: int):
 def _power_rows(prog: Progression, k: int):
     """Rows ([y^b] (L P_0)^m, ..., [y^b] (L P_t)^m) for m = 0..k, all b: the
     block m is scaled by L^m (L clears the monomial denominators)."""
-    return [row for m in range(k + 1) for row in _power_block(prog, m)[1]]
-
-
-@lru_cache(maxsize=1024)
-def _power_block(prog: Progression, m: int):
-    """((L P_0)^m, ..., (L P_t)^m) and their rows [y^b] for all b, each
-    power one convolution on from the cached m - 1, so the blocks of every
-    degree up to cap+1 cost one running product per progression."""
-    if m == 0:
-        return ((1,),) * (prog.t + 1), ((1,) * (prog.t + 1),)
     _, scaled = _scaled_polys(prog)
-    powers = tuple(tuple(_convolve(pw, q))
-                   for pw, q in zip(_power_block(prog, m - 1)[0], scaled))
-    width = max(len(pw) for pw in powers)
-    return powers, tuple(tuple(pw[b] if b < len(pw) else 0 for pw in powers)
-                         for b in range(width))
+    rows = [[1] * (prog.t + 1)]
+    powers = [[1]] * (prog.t + 1)
+    for _ in range(k):
+        powers = [_convolve(pw, q) for pw, q in zip(powers, scaled)]
+        width = max(len(pw) for pw in powers)
+        rows.extend([pw[b] if b < len(pw) else 0 for pw in powers] for b in range(width))
+    return rows
 
 
 def _binomial_rows(prog: Progression, k: int):

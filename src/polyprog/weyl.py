@@ -657,7 +657,7 @@ def classify_character(freqs, closure: AffineClosure):
 SWEEP_BUDGET = 2 * 10 ** 10
 
 
-class SweepBudgetExceeded(RuntimeError):
+class WeylBudgetExceeded(RuntimeError):
     pass
 
 
@@ -674,7 +674,7 @@ def check_sweep_cost(w: WeylSystem, prog: Progression, n: int, radius: int):
                  for j in range(min(dim, radius) + 1))
     cost = (points - 1) // 2 * n * n * (w.order + 1)
     if cost > SWEEP_BUDGET:
-        raise SweepBudgetExceeded(
+        raise WeylBudgetExceeded(
             f"character sweep cost {cost} exceeds budget {SWEEP_BUDGET} "
             f"(characters x N^2 x (s+1))")
     return cost
@@ -719,6 +719,25 @@ def equidistribution_test(w: WeylSystem, prog: Progression,
                            magnitude=abs(avg))
             for freqs, avg in zip(freq_list, averages)]
     return DiscrepancyTable(n=n, radius=radius, rows=rows)
+
+
+# Refusal threshold for coset confinement, in N^2 x cosets x 3^k (residuals
+# over the plane for each coset and neighbourhood offset, with k annihilator
+# rows).  On a 2-vCPU machine the README scenario (N = 2000, 3 cosets,
+# k = 2: cost 1.08e8) ran in 1.65 s, and the ceiling allows 3.7 times that
+# cost.
+CONFINEMENT_BUDGET = 4 * 10 ** 8
+
+
+def check_confinement_cost(closure: AffineClosure, n: int):
+    """Refuse a coset confinement check whose cost N^2 x cosets x 3^k
+    exceeds CONFINEMENT_BUDGET."""
+    cost = n * n * len(closure.coset_shifts) * 3 ** len(closure.annihilator())
+    if cost > CONFINEMENT_BUDGET:
+        raise WeylBudgetExceeded(
+            f"coset confinement cost {cost} exceeds budget {CONFINEMENT_BUDGET} "
+            f"(N^2 x cosets x 3^k)")
+    return cost
 
 
 # Rows of x per confinement block: its arrays are (k, 128, N), a few MB at

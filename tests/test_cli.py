@@ -177,6 +177,21 @@ def test_weyl_refuses_sweep_above_budget(tmp_path, capsys):
     assert f"character sweep cost 499200000000 exceeds budget {weyl.SWEEP_BUDGET}" in err
 
 
+def test_weyl_refuses_confinement_above_budget(tmp_path, capsys):
+    # radius 0 sweeps no character, so only the confinement ceiling applies
+    import time
+    scenario = {"order": 2, "system": "generators",
+                "generators": [["sqrt2", "0"], ["0", "sqrt2+1/3"]],
+                "progression": "x, x+y, x+2y, x+y^2", "N": 20000, "radius": 0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "weyl", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert f"coset confinement cost 10800000000 exceeds budget {weyl.CONFINEMENT_BUDGET}" in err
+
+
 def test_weyl_builds_one_tail_table(tmp_path, capsys, monkeypatch):
     # the dependent scenario runs both the sweep and the confinement check
     calls = []

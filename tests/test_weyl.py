@@ -258,10 +258,21 @@ def test_sweep_cost_counts_the_enumerated_characters():
             chars = len(weyl.enumerate_characters(dim, radius))
             assert weyl.check_sweep_cost(system, prog, 30, radius) == \
                 chars * 30 ** 2 * (system.order + 1)
-    with pytest.raises(weyl.SweepBudgetExceeded):
+    with pytest.raises(weyl.WeylBudgetExceeded):
         weyl.check_sweep_cost(STD2, INH, 20000, 3)
     with pytest.raises(ValueError):
         weyl.check_sweep_cost(STD2, INH, 30, -1)
+
+
+def test_confinement_cost_counts_cosets_and_offsets():
+    system = WeylSystem.from_generators(
+        2, [(SQRT2, 0), (0, Irrational("sqrt2", Fraction(1, 3)))])
+    closure = closure_subspaces(INH, system)
+    k = len(closure.annihilator())
+    assert weyl.check_confinement_cost(closure, 30) == \
+        30 ** 2 * len(closure.coset_shifts) * 3 ** k
+    with pytest.raises(weyl.WeylBudgetExceeded):
+        weyl.check_confinement_cost(closure, 20000)
 
 
 def test_coset_confinement_small():

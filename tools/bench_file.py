@@ -5,10 +5,12 @@ revision and the working tree, from unchanged `perfbench/run.py` runs.
 
 Each side runs from its own files: the base revision is exported with
 `git archive` into a temporary directory, the working tree runs in place.
-Per workload, pair i runs both sides on seed SEED0 + i, the base first in
-even pairs and the working tree first in odd ones, so a drift in machine
-speed falls on both.  The file keeps every run and, per metric, each side's
-median and quartiles and the number of pairs the working tree won.
+Every workload of BENCHMARK.json gets PAIRS pairs of runs, each as long as
+its `run_seconds`.  Pair i runs both sides on seed SEED0 + i, the base
+first in even pairs and the working tree first in odd ones, so a drift in
+machine speed falls on both.  The file keeps every run and, per metric,
+each side's median and quartiles and the number of pairs the working tree
+won.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED0 = 701
+PAIRS = 10
 METRICS = ("setup_s", "wall_s", "cpu_s", "op_p50_s", "peak_rss_mb")
 
 
@@ -60,20 +63,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="classify=3,zn-count=3,torus=10",
-                    help="pairs per workload, as workload=count,...")
-    ap.add_argument("--seconds", type=float, default=40.0)
     args = ap.parse_args(argv)
-    plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
-    if any(n < 2 for _, n in plan):
-        ap.error("quartiles need at least 2 pairs per workload")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     base_rev = subprocess.run(["git", "rev-parse", "--short", args.base], cwd=ROOT,
                               capture_output=True, text=True, check=True).stdout.strip()
     doc = {"schema": "polyprog-bench/1",
            "command": "python3 tools/bench_file.py " + " ".join(argv or sys.argv[1:]),
            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "platform": platform.platform()},
-           "base": base_rev, "head": "working tree", "seconds": args.seconds,
+           "base": base_rev, "head": "working tree", "seconds": seconds,
            "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "base.tar"
@@ -81,16 +80,16 @@ def main(argv=None):
         base_tree = Path(tmp) / "base"
         with tarfile.open(archive) as tar:
             tar.extractall(base_tree)
-        for workload, count in plan:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for i in range(count):
+            for i in range(PAIRS):
                 seed = SEED0 + i
                 order = [("base", base_tree), ("head", ROOT)]
                 if i % 2:
                     order.reverse()
                 pair = {"seed": seed, "first": order[0][0]}
                 for side, tree in order:
-                    pair[side] = run_harness(tree, workload, seed, args.seconds)
+                    pair[side] = run_harness(tree, workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: wall_s {pair[side]['wall_s']:.3f} "
                           f"peak_rss_mb {pair[side]['peak_rss_mb']:.1f}", file=sys.stderr)
                 pairs.append(pair)
