@@ -142,6 +142,7 @@ def cmd_relations(cfg: Config, args):
 
 def cmd_count(cfg: Config, args):
     expr = _parse_expr(args.progression)
+    cyclic.check_count_cost(cfg.n_schedule, expr.progression)
     rows = []
     for n in cfg.n_schedule:
         mask = _subset(cfg, args, n)
@@ -163,6 +164,7 @@ def cmd_gowers(cfg: Config, args):
     n = _check_modulus(101 if args.N is None else args.N)
     if args.s_max < 1:
         raise ValueError(f"--s-max must be >= 1, got {args.s_max}")
+    cyclic.check_gowers_cost(n, args.s_max)
     rng = np.random.default_rng(cfg.seed)
     families = {
         "ones": cyclic.Signal.ones(n),
@@ -188,6 +190,7 @@ def cmd_gowers(cfg: Config, args):
 def cmd_popdiff(cfg: Config, args):
     expr = _parse_expr(args.progression)
     n = _check_modulus(cfg.n_schedule[-1] if args.N is None else args.N)
+    cyclic.check_popdiff_cost(n, expr.progression)
     mask = _subset(cfg, args, n)
     rep = cyclic.popular_differences(mask, expr.progression, cfg.epsilon)
     _emit(rep.to_json(), cfg, "popdiff")
@@ -230,7 +233,8 @@ def load_scenario(path):
 def cmd_weyl(cfg: Config, args):
     system, expr, deps, raw = load_scenario(args.scenario)
     n = _check_modulus(int(raw.get("N", cfg.n_weyl)) if args.N is None else args.N)
-    radius = int(raw.get("radius", cfg.radius))
+    # flag, then scenario, then config (cfg.radius also holds the flag)
+    radius = args.radius if args.radius is not None else int(raw.get("radius", cfg.radius))
     prog = expr.progression
     weyl.check_sweep_cost(system, prog, n, radius)
     closure = weyl.closure_subspaces(prog, system, deps=deps or None, cap=cfg.cap)

@@ -169,6 +169,52 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+# Refusal thresholds for the `gowers`, `count` and `popdiff` commands, each
+# checked before any work.  Measured on a 2-vCPU machine, one BLAS thread:
+# - Gowers norms up to degree S cost sum_{s <= S} N^(s-1) log2 N (about the
+#   FFT work of the recursion): N = 257, S = 4 (cost 1.4e8) ran in 6.1 s;
+# - the count's polynomial side loops over every y with t rolls of length
+#   N, N^2 t per modulus: the README five-term count at N = 4001 (cost 6.4e7)
+#   ran in 2.0 s;
+# - popdiff does the same scan on integers: N = 12007 (cost 5.8e8) in 0.85 s.
+# Each ceiling allows about four to seven times its measured cost.
+GOWERS_BUDGET = 5 * 10 ** 8
+COUNT_BUDGET = 25 * 10 ** 7
+POPDIFF_BUDGET = 4 * 10 ** 9
+
+
+def _refuse_above(cost, budget, name, what, formula):
+    if cost > budget:
+        raise BudgetExceeded(f"{what} cost {cost:.4g} exceeds {name} = {budget:.4g} "
+                             f"({formula})")
+    return cost
+
+
+def check_gowers_cost(n: int, s_max: int):
+    """Refuse a Gowers norm table of degrees 1..s_max on Z/nZ above
+    GOWERS_BUDGET.  The geometric sum is taken in floats, so the check is
+    constant time for any s_max; it overflows to inf far above the budget."""
+    try:
+        span = s_max if n == 1 else (float(n) ** s_max - 1) / (n - 1)
+    except OverflowError:
+        span = math.inf
+    cost = span * max(math.log2(n), 1.0)
+    return _refuse_above(cost, GOWERS_BUDGET, "GOWERS_BUDGET", "Gowers norm",
+                         "sum_s N^(s-1) log2 N")
+
+
+def check_count_cost(moduli, prog: Progression):
+    """Refuse a count over the moduli schedule above COUNT_BUDGET."""
+    cost = sum(n * n for n in moduli) * prog.t
+    return _refuse_above(cost, COUNT_BUDGET, "COUNT_BUDGET", "count", "sum over N of N^2 t")
+
+
+def check_popdiff_cost(n: int, prog: Progression):
+    """Refuse a popular-difference scan above POPDIFF_BUDGET."""
+    return _refuse_above(n * n * prog.t, POPDIFF_BUDGET, "POPDIFF_BUDGET",
+                        "popdiff", "N^2 t")
+
+
 LINEAR_COUNT_CHUNK = 1 << 14  # points of K gathered at once; bounds memory
 
 

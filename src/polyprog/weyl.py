@@ -585,35 +585,126 @@ def _phase_rows(tails, freqs, ncomp):
     return b
 
 
-# Characters per ladder run.  On 416 characters at N = 1500 (2-vCPU
-# machine) one ladder per character took 4.76 s, and blocks of 4, 8, 12, 16
-# and 24 characters 2.92, 2.62, 2.46, 2.64 and 2.92 s: larger blocks fall
-# out of cache.
-_SWEEP_BLOCK = 12
+# Rows of x per sweep block.  On 416 characters at N = 1500 (2-vCPU
+# machine, one BLAS thread) blocks of 1, 2, 3 and 4 rows swept in
+# 1.10-1.25, 1.05-1.07, 1.02-1.05 and 1.04-1.08 s, with a peak traced
+# memory of 4.1, 7.6, 11.1 and 14.5 MB: the block's tail rows hold
+# 129 x rows x N complex entries, 3.1 MB per row at N = 1500.
+_SWEEP_ROWS = 2
 
 
-def character_average(tails, freq_block, ncomp):
-    """E_{x,y} e(eta . orbit tuple) for each eta in `freq_block`, via the
-    split phase sum_kappa C(x,kappa) * B_kappa(y).
+def _parent_tail(beta):
+    """beta less one unit off its first nonzero coordinate k: (parent, k,
+    True when that unit was +1)."""
+    k = next(i for i, v in enumerate(beta) if v)
+    up = beta[k] > 0
+    return beta[:k] + (beta[k] - (1 if up else -1),) + beta[k + 1:], k, up
 
-    The x sum runs as a multiplicative difference ladder: with
-    u_j(x) = e(sum_kappa C(x, kappa - j) B_kappa), the binomial recurrence
-    gives u_j(x+1) = u_j(x) u_{j+1}(x), so each x step costs a few vector
-    multiplies instead of a fresh 4M-point exponential.  Unit-modulus drift
-    over the walk is ~n*eps, far below the thresholds in play.  The block's
-    characters share one (s+1, chars, n) ladder; every element goes through
-    the same multiplies and adds as on a ladder of its own, and each row is
-    summed by the same pairwise sum, so the averages do not depend on the
-    block."""
-    b = np.stack([_phase_rows(tails, freqs, ncomp) for freqs in freq_block], axis=1)
-    s1, _, n = b.shape
-    ladder = np.exp(TWO_PI * 1j * b)
-    acc = np.zeros(b.shape[1:], dtype=np.complex128)
-    for _ in range(n):
-        acc += ladder[0]
-        for j in range(s1 - 1):
-            np.multiply(ladder[j], ladder[j + 1], out=ladder[j])
-    return [complex(total / (n * n)) for total in acc.sum(axis=1)]
+
+def _tail_plan(characters):
+    """Read each character eta as e_j + beta, with j its first nonzero
+    coordinate, so that e(eta . v) = W_j T_beta with W_d = e(v_d) and
+    T_beta = prod_d W_d^beta_d.  A character whose first entry is negative
+    is read as the conjugate of its negation, and the zero character as 1.
+
+    Returns the number of tail rows T_beta, kept in order of L1 norm with
+    the zero tail first; one (parent index, k, up) step per later row, for
+    T_beta = T_parent * W_k, or times conj(W_k) when not up; and per
+    character None for zero, else (j, row index, conjugate).  Every tail on
+    a chain down to zero gets a row."""
+    needed, reads = {}, []
+    for eta in characters:
+        eta = tuple(int(v) for v in eta)
+        if not any(eta):
+            reads.append(None)
+            continue
+        j = next(i for i, v in enumerate(eta) if v)
+        conj = eta[j] < 0
+        if conj:
+            eta = tuple(-v for v in eta)
+        beta = eta[:j] + (eta[j] - 1,) + eta[j + 1:]
+        reads.append((j, beta, conj))
+        while beta not in needed:
+            needed[beta] = None
+            if not any(beta):
+                break
+            beta = _parent_tail(beta)[0]
+    order = sorted(needed, key=lambda b: (sum(map(abs, b)), b))
+    index = {b: i for i, b in enumerate(order)}
+    steps = []
+    for beta in order[1:]:
+        parent, k, up = _parent_tail(beta)
+        steps.append((index[parent], k, up))
+    reads = [r if r is None else (r[0], index[r[1]], r[2]) for r in reads]
+    return len(order), steps, reads
+
+
+def _coordinate_blocks(tails):
+    """W = e(orbit tuple coordinate) as (coordinate, x, y) arrays, for
+    blocks of _SWEEP_ROWS values of x.
+
+    With u_j(x) = e(sum_kappa C(x, kappa - j) B_kappa) for one coordinate's
+    rows B_kappa of the orbit tail table, the binomial recurrence gives u_j(x+1) =
+    u_j(x) u_{j+1}(x), so each x step costs s vector multiplies per
+    coordinate instead of fresh exponentials.  Unit-modulus drift over the
+    walk is ~n*eps, far below the thresholds in play.  The walk runs from
+    x = 0 in one pass, so every block's W is the same whoever consumes it."""
+    s1, s, ncomp, n = tails.shape
+    ladder = np.exp(TWO_PI * 1j * tails.reshape(s1, s * ncomp, n))
+    for x0 in range(0, n, _SWEEP_ROWS):
+        w = np.empty((s * ncomp, min(_SWEEP_ROWS, n - x0), n), dtype=np.complex128)
+        for r in range(w.shape[1]):
+            w[:, r] = ladder[0]
+            for j in range(s1 - 1):
+                np.multiply(ladder[j], ladder[j + 1], out=ladder[j])
+        yield w
+
+
+def character_average(tails, characters, threads: int = 1):
+    """E_{x,y} e(eta . orbit tuple) for each eta in `characters`.
+
+    With eta = e_j + beta (see _tail_plan), sum_{x,y} e(eta . v) is entry
+    (j, beta) of the matrix product W . T^T over the plane, with W the D
+    coordinate rows and T the tail rows.  Per block of _SWEEP_ROWS rows of
+    x, W comes off the difference ladder (_coordinate_blocks), each tail row
+    is one elementwise multiply of a shorter one by W_k or its conjugate,
+    and W . T^T (one complex GEMM) is added into a D x tails accumulator.
+    Worker threads (numpy releases the GIL on the multiplies and the GEMM)
+    take whole blocks, and the partial sums are added in block order, so
+    the averages are the same for any thread count."""
+    ntails, steps, reads = _tail_plan(characters)
+    n = tails.shape[-1]
+    if not ntails:
+        return [complex(1.0)] * len(reads)
+
+    def block_sums(w):
+        t = np.empty((ntails,) + w.shape[1:], dtype=np.complex128)
+        t[0] = 1.0
+        wc = np.conj(w)
+        for i, (parent, k, up) in enumerate(steps, start=1):
+            np.multiply(t[parent], w[k] if up else wc[k], out=t[i])
+        return w.reshape(len(w), -1) @ t.reshape(ntails, -1).T
+
+    blocks = _coordinate_blocks(tails)
+    acc = np.zeros((tails.shape[1] * tails.shape[2], ntails), dtype=np.complex128)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            while wave := list(itertools.islice(blocks, threads)):
+                for part in pool.map(block_sums, wave):
+                    acc += part
+    else:
+        for w in blocks:
+            acc += block_sums(w)
+    averages = []
+    for read in reads:
+        if read is None:
+            averages.append(complex(1.0))
+            continue
+        j, i, conj = read
+        avg = complex(acc[j, i] / (n * n))
+        averages.append(avg.conjugate() if conj else avg)
+    return averages
 
 
 def enumerate_characters(dim, radius):
@@ -638,22 +729,38 @@ def enumerate_characters(dim, radius):
     return dedup
 
 
-def classify_character(freqs, closure: AffineClosure):
-    if closure.subspace_basis:
-        for vec in closure.subspace_basis:
-            if sum(Fraction(f) * x for f, x in zip(freqs, vec)) != 0:
-                return "generic"
-    for shift in closure.coset_shifts:
-        val = sum(Fraction(f) * x for f, x in zip(freqs, shift))
-        if val.denominator != 1:
+def _integer_row(vec):
+    """A rational vector as (integer vector, d > 0) with vec = integers / d."""
+    vec = [Fraction(v) for v in vec]
+    d = math.lcm(*(v.denominator for v in vec))
+    return [int(v * d) for v in vec], d
+
+
+def classify_characters(characters, closure: AffineClosure):
+    """'generic' when eta is not orthogonal to the closure's subspace,
+    'confined' when it is but pairs some coset shift to a non-integer, and
+    'constant' otherwise.  The basis vectors and shifts are scaled to
+    integers once: eta . b != 0 iff eta . (d b) != 0, and eta . shift is
+    an integer iff eta . (d shift) = 0 mod d."""
+    basis = [_integer_row(vec)[0] for vec in closure.subspace_basis]
+    shifts = [_integer_row(shift) for shift in closure.coset_shifts]
+
+    def kind(eta):
+        if any(sum(f * b for f, b in zip(eta, row)) for row in basis):
+            return "generic"
+        if any(sum(f * a for f, a in zip(eta, row)) % d for row, d in shifts):
             return "confined"
-    return "constant"
+        return "constant"
+
+    return [kind(eta) for eta in characters]
 
 
-# Refusal threshold for the character sweep, in characters x N^2 x (s+1)
-# (the ladder's complex multiplies and adds).  On a 2-vCPU machine the
-# README scenario (416 characters, N = 2000, s = 2: cost 5.0e9) swept in
-# 4.4-4.5 s, and the ceiling allows four times that cost.
+# Refusal threshold for the character sweep, in characters x N^2 x (s+1).
+# The matrix-product sweep's work per point grows with the tail rows and D
+# rather than with this count, but both grow with the ball and with N^2.
+# On a 2-vCPU machine (one BLAS thread) the README scenario (416
+# characters, N = 2000, s = 2: cost 5.0e9) swept in 2.1-2.4 s, and the
+# ceiling allows four times that cost.
 SWEEP_BUDGET = 2 * 10 ** 10
 
 
@@ -687,37 +794,22 @@ def equidistribution_test(w: WeylSystem, prog: Progression,
 
     Characters orthogonal to the closure (subspace and coset lattice) must
     track the offset with modulus ~1; characters orthogonal to the subspace
-    only are reported as confined; everything else must decay.  Characters
-    are swept in blocks of _SWEEP_BLOCK; worker threads (numpy releases the
-    GIL on the big array operations) take whole blocks and change nothing in
-    the output: rows are merged in enumeration order.  `tails` is the
+    only are reported as confined; everything else must decay.  `threads`
+    worker threads share the sweep's blocks of the plane (see
+    character_average) and change nothing in the output.  `tails` is the
     _orbit_tail_tables(w, prog, n) table when the caller has built it.
     """
     if tails is None:
         tails = _orbit_tail_tables(w, prog, n)
-    ncomp = closure.components
     freq_list = enumerate_characters(closure.ambient_dim, radius)
     for extra in extra_characters:
         extra = tuple(int(v) for v in extra)
         if extra not in freq_list:
             freq_list.append(extra)
-    blocks = [freq_list[i:i + _SWEEP_BLOCK]
-              for i in range(0, len(freq_list), _SWEEP_BLOCK)]
-
-    def sweep(block):
-        return character_average(tails, block, ncomp)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(sweep, blocks))
-    else:
-        parts = [sweep(block) for block in blocks]
-    averages = [avg for part in parts for avg in part]
-    rows = [DiscrepancyRow(frequencies=tuple(freqs),
-                           kind=classify_character(freqs, closure),
-                           magnitude=abs(avg))
-            for freqs, avg in zip(freq_list, averages)]
+    averages = character_average(tails, freq_list, threads=threads)
+    kinds = classify_characters(freq_list, closure)
+    rows = [DiscrepancyRow(frequencies=tuple(freqs), kind=kind, magnitude=abs(avg))
+            for freqs, kind, avg in zip(freq_list, kinds, averages)]
     return DiscrepancyTable(n=n, radius=radius, rows=rows)
 
 

@@ -1,6 +1,6 @@
 import json
 
-from polyprog import weyl
+from polyprog import cyclic, weyl
 from polyprog.cli import main
 
 
@@ -206,6 +206,55 @@ def test_weyl_builds_one_tail_table(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "weyl", str(path), "--decay-threshold", "0.99")
     assert code == 0 and "confinement_distance" in json.loads(out)
     assert len(calls) == 1
+
+
+def test_weyl_radius_flag_then_scenario_then_config(tmp_path, capsys):
+    # radius 1 sweeps 8 characters of T^8, radius 2 sweeps 72
+    scenario = {"order": 2, "rotation": "sqrt2", "base": ["sqrt3", "sqrt5"],
+                "progression": "x, x+y, x+2y, x+y^3", "N": 60}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(scenario))
+    with_radius = tmp_path / "radius.json"
+    with_radius.write_text(json.dumps(scenario | {"radius": 1}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"radius": 2}))
+
+    def rows(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        table = json.loads(out)["discrepancy"]
+        return table["radius"], len(table["rows"])
+
+    assert rows("weyl", str(with_radius), "--radius", "2") == (2, 72)
+    assert rows("--config", str(config), "weyl", str(with_radius)) == (1, 8)
+    assert rows("--config", str(config), "weyl", str(plain)) == (2, 72)
+    assert rows("--config", str(config), "weyl", str(plain), "--radius", "1") == (1, 8)
+
+
+def test_engines_refuse_work_above_their_ceilings(capsys):
+    import time
+    five = "x, x+y^2, x+2y^2, x+y^3, x+2y^3"
+    for argv, name in ((["gowers", "--N", "101", "--signal", "quadratic", "--s-max", "6"],
+                        "GOWERS_BUDGET"),
+                       (["popdiff", five, "--N", "1000003"], "POPDIFF_BUDGET"),
+                       (["count", five, "--N", "101,100003"], "COUNT_BUDGET")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert "cost" in err and f"exceeds {name} = " in err
+
+
+def test_documented_engine_runs_fit_their_ceilings():
+    # README commands, the acceptance criteria and the benchmark's commands
+    from polyprog.parser import parse_progression
+    five = parse_progression("x, x+y^2, x+2y^2, x+y^3, x+2y^3").progression
+    for n in (101, 257, 809):
+        cyclic.check_gowers_cost(n, 3)
+    for n in (401, 809):
+        cyclic.check_popdiff_cost(n, five)
+    for schedule in ((101, 211), (101, 809), (101, 151, 211, 307), (101, 211, 401, 809)):
+        cyclic.check_count_cost(schedule, five)
 
 
 def test_zero_cap_is_refused(capsys):

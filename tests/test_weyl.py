@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -213,11 +214,11 @@ def test_equidistribution_classification_and_constants():
 
 
 def test_equidistribution_threads_deterministic():
-    # radius 2 gives 72 characters, six blocks for the two threads to share
+    # at least three blocks of the plane for the two threads to share
     closure = closure_subspaces(HOM, STD2)
     t1 = equidistribution_test(STD2, HOM, closure, 120, radius=2)
     t2 = equidistribution_test(STD2, HOM, closure, 120, radius=2, threads=2)
-    assert len(t1.rows) >= 3 * weyl._SWEEP_BLOCK
+    assert 120 >= 3 * weyl._SWEEP_ROWS
     assert [(r.frequencies, r.magnitude) for r in t1.rows] == \
         [(r.frequencies, r.magnitude) for r in t2.rows]
 
@@ -235,19 +236,79 @@ def _ladder_per_character(tails, freqs, ncomp):
     return complex(acc.sum() / (n * n))
 
 
-def test_block_sweep_equals_per_character_ladder():
+def _exact_character_averages(system, prog, n, characters):
+    """Pointwise references: each character's orbit_lift fixed-point phase,
+    reduced mod 1 exactly, then one float exp per point."""
+    lifts = {}
+    coords = np.empty((system.order * (prog.t + 1), n, n), dtype=object)
+    for c, p in enumerate(prog.all_polys()):
+        for y in range(n):
+            py = int(p(y))
+            for x in range(n):
+                if x + py not in lifts:
+                    lifts[x + py] = orbit_lift(system, x + py)
+                for l, value in enumerate(lifts[x + py]):
+                    coords[l * (prog.t + 1) + c, x, y] = value
+    out = []
+    for freqs in characters:
+        phase = coords[0] * 0
+        for d, f in enumerate(freqs):
+            if f:
+                phase = phase + f * coords[d]
+        frac = (phase % weyl._SCALE / weyl._SCALE).astype(float)
+        out.append(complex(np.exp(2j * np.pi * frac).sum() / n ** 2))
+    return out
+
+
+def test_sweep_matches_exact_and_per_character_references():
+    # The GEMM sweep sums in another order than a per-character ladder, so
+    # both references are met within 1e-10, not exactly.
     system = WeylSystem.from_generators(
         2, [(SQRT2, 0), (0, Irrational("sqrt2", Fraction(1, 3)))],
         base=(Fraction(9, 5), Fraction(1, 2)))
-    closure = closure_subspaces(INH, system)
     n = 90
-    # 72 characters at radius 2 and one extra: a short last block of one
-    table = equidistribution_test(system, INH, closure, n, radius=2,
-                                  extra_characters=[(0, 0, 0, 0, 0, 0, 3, 0)])
-    assert len(table.rows) % weyl._SWEEP_BLOCK == 1
+    characters = weyl.enumerate_characters(8, 2) + [
+        (0, 0, 0, 0, 0, 0, 3, 0),        # norm 3
+        (2, -1, 0, 3, 1, 0, -2, 1),      # norm 10
+        (-1, 0, 2, 0, 0, -1, 0, 0),      # first entry negative
+        (0,) * 8,
+    ]
+    assert len(characters) == 76
     tails = weyl._orbit_tail_tables(system, INH, n)
-    for row in table.rows:
-        assert row.magnitude == abs(_ladder_per_character(tails, row.frequencies, 4))
+    fast = weyl.character_average(tails, characters)
+    exact = _exact_character_averages(system, INH, n, characters)
+    assert exact[-1] == 1.0
+    for freqs, got, want in zip(characters, fast, exact):
+        assert abs(got - want) < 1e-10, freqs
+        assert abs(got - _ladder_per_character(tails, freqs, 4)) < 1e-10, freqs
+
+
+def _kind_by_fractions(freqs, closure):
+    """classify_characters for one character, in Fraction dot products."""
+    for vec in closure.subspace_basis:
+        if sum(Fraction(f) * x for f, x in zip(freqs, vec)) != 0:
+            return "generic"
+    for shift in closure.coset_shifts:
+        if sum(Fraction(f) * x for f, x in zip(freqs, shift)).denominator != 1:
+            return "confined"
+    return "constant"
+
+
+def test_integer_classification_matches_fractions():
+    dep = closure_subspaces(INH, WeylSystem.from_generators(
+        2, [(SQRT2, 0), (0, Irrational("sqrt2", Fraction(1, 3)))]))
+    ind = closure_subspaces(INH, WeylSystem.from_generators(
+        2, [(SQRT2, 0), (0, Irrational("sqrt3"))]))
+    # false closures: basis vectors dropped, with and without coset shifts
+    false_ind = dataclasses.replace(ind, subspace_basis=ind.subspace_basis[:-1])
+    false_dep = dataclasses.replace(dep, subspace_basis=dep.subspace_basis[:-3])
+    characters = weyl.enumerate_characters(8, 3)
+    seen = set()
+    for closure in (dep, ind, false_ind, false_dep):
+        kinds = weyl.classify_characters(characters, closure)
+        assert kinds == [_kind_by_fractions(f, closure) for f in characters]
+        seen.update(kinds)
+    assert seen == {"generic", "confined", "constant"}
 
 
 def test_sweep_cost_counts_the_enumerated_characters():
@@ -305,7 +366,7 @@ def test_character_average_matches_direct_orbit_evaluation():
     tails = weyl._orbit_tail_tables(system, INH, n)
     cx = weyl._binom_columns(n, 2)
     freqs = (2, -1, 0, 3, 1, 0, -2, 1)
-    fast, = weyl.character_average(tails, [freqs], 4)
+    fast, = weyl.character_average(tails, [freqs])
     phases = weyl.character_phases(tails, cx, freqs, 4)
     total = 0j
     for x in range(n):
