@@ -12,9 +12,10 @@ Subcommands
 All tolerances, caps, seeds and schedules live in one Config; a JSON config
 file supplies overrides, and individual flags override that again.
 
-Exit codes: 0 success; 1 a `weyl` or `verify` check failed; 2 bad input or
-work refused above a cost ceiling, with a message; 3 a broken internal
-invariant, with one JSON line on stderr naming the check.
+Exit codes: 0 success; 1 a `weyl` or `verify` check failed, or the reader
+of stdout closed it early; 2 bad input or work refused above a cost
+ceiling, with a message; 3 a broken internal invariant, with one JSON line
+on stderr naming the check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,7 +329,14 @@ def main(argv=None):
     try:
         cfg = Config.load(args.config) if args.config else Config()
         cfg = _apply_overrides(cfg, args)
-        return args.func(cfg, args)
+        code = args.func(cfg, args)
+        sys.stdout.flush()      # a closed reader surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (say `| head`): send the rest of the output,
+        # and the flush at exit, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,13 +6,16 @@ here does none of that: unknowns are plain monomial coefficients,
 expansions use its own dict-based polynomial powers, and the kernel is a
 textbook reduced-row-echelon elimination over Fraction.  Agreement between
 the two is an end-to-end check of both (acceptance criterion and tests call
-it).  The other routes here are the ones the package replaced: relation
-vectors from the Fraction system of Horner-expanded shifted binomials,
-homogeneous relations from BiPoly expansions of (x + P_i)^k, shared layer
-parts by intersecting row spaces, the Fraction RREF, and the linear-model
-count as the direct sum over all N^(d+1) points, where `cyclic` sums
-Fourier coefficients over a mod-N kernel.  On the torus, `step` iterates
-the standard affine map that `weyl` orbits follow in closed form.
+it).  The other routes here are the ones the package replaced: q(x + P(y))
+and C(x + P(y), k) expanded into monomial cell maps from the powers of
+x + P(y), relation vectors from the Fraction system of those expanded
+shifted binomials, the relation re-check by expanding sum_i Q_i(x + P_i(y))
+(`progression` evaluates it on an integer grid), homogeneous relations
+from expansions of (x + P_i)^k, shared layer parts by intersecting row
+spaces, the Fraction RREF, and the linear-model count as the direct sum
+over all N^(d+1) points, where `cyclic` sums Fourier coefficients over a
+mod-N kernel.  On the torus, `step` iterates the standard affine map that
+`weyl` orbits follow in closed form.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polycore import BiPoly, UniPoly, binom_of_shift, compose_shift, to_binomial_basis
-from .progression import Progression
+from .polycore import UniPoly, binomial_poly, to_binomial_basis
+from .progression import Progression, Relation
 from .weyl import WeylSystem, _SCALE
 
 
@@ -35,16 +38,42 @@ def _poly_mul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
-def _shift_power(p_coeffs, k):
-    """(x + P(y))^k as a monomial dict, by repeated multiplication."""
+def _shift_powers(p_coeffs, k):
+    """(x + P(y))^j for j = 0..k as monomial cell maps, by repeated
+    multiplication."""
     base = {(1, 0): Fraction(1)}
     for deg, c in enumerate(p_coeffs):
         if c:
             base[(0, deg)] = base.get((0, deg), Fraction(0)) + Fraction(c)
-    acc = {(0, 0): Fraction(1)}
+    powers = [{(0, 0): Fraction(1)}]
     for _ in range(k):
-        acc = _poly_mul(acc, base)
-    return acc
+        powers.append(_poly_mul(powers[-1], base))
+    return powers
+
+
+def compose_shift(q: UniPoly, p: UniPoly):
+    """q(x + p(y)) as a monomial cell map: the powers of x + p(y) weighted
+    by the coefficients of q."""
+    out = {}
+    for c, power in zip(q.coeffs, _shift_powers(p.coeffs, len(q.coeffs) - 1)):
+        for cell, v in power.items():
+            out[cell] = out.get(cell, Fraction(0)) + c * v
+    return {cell: v for cell, v in out.items() if v}
+
+
+def binom_of_shift(p: UniPoly, k: int):
+    """C(x + p(y), k) as a monomial cell map."""
+    return compose_shift(binomial_poly(k), p)
+
+
+def relation_holds_by_expansion(rel: Relation, prog: Progression):
+    """sum_i Q_i(x + P_i(y)) expanded over monomials cancels to nothing
+    (`Relation.holds_for` evaluates it on an integer grid instead)."""
+    total = {}
+    for q, p in zip(rel.qs, prog.all_polys()):
+        for cell, v in compose_shift(q, p).items():
+            total[cell] = total.get(cell, Fraction(0)) + v
+    return not any(total.values())
 
 
 def rref_by_fractions(rows):
@@ -118,10 +147,10 @@ def _cell_order(cell):
 
 
 def homogeneous_relations_by_expansion(prog: Progression, k: int):
-    """Basis of {a : sum_i a_i (x + P_i(y))^k = 0} from Horner expansions of
-    the powers over BiPoly and a textbook kernel (`progression` uses integer
+    """Basis of {a : sum_i a_i (x + P_i(y))^k = 0} from expansions of the
+    powers into cell maps and a textbook kernel (`progression` uses integer
     powers of the P_i)."""
-    grids = [dict(compose_shift(UniPoly.monomial(k), p).terms) for p in prog.all_polys()]
+    grids = [_shift_powers(p.coeffs, k)[k] for p in prog.all_polys()]
     columns = sorted({c for g in grids for c in g}, key=_cell_order)
     rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
     return [tuple(v) for v in _rref_kernel(rows, prog.t + 1)]
@@ -129,12 +158,11 @@ def homogeneous_relations_by_expansion(prog: Progression, k: int):
 
 def relation_vectors_by_expansion(prog: Progression, cap: int):
     """Relation vectors (b_{ik} layout, the unknown order of `progression`)
-    as the textbook kernel of the Fraction system over the Horner grids of
-    C(x + P_i(y), k) (`progression` solves the integer system of its scaled
+    as the textbook kernel of the Fraction system over the expanded cell maps
+    of C(x + P_i(y), k) (`progression` solves the integer system of its scaled
     expansion table and rescales the kernel)."""
     polys = prog.all_polys()
-    grids = [binom_of_shift(polys[i], k).terms
-             for i in range(prog.t + 1) for k in range(1, cap + 1)]
+    grids = [binom_of_shift(polys[i], k) for i in range(prog.t + 1) for k in range(1, cap + 1)]
     columns = sorted({c for g in grids for c in g}, key=_cell_order)
     rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
     return tuple(tuple(v) for v in _rref_kernel(rows, len(grids)))
@@ -163,14 +191,14 @@ def shared_parts_by_intersection(prog: Progression, k: int, cap: int):
     """Canonical basis of L_k ∩ (sum of L_j, j != k, j <= cap), where L_j is
     the span of the C(x + P_i(y), j): the degree-k layer intersected with the
     RREF of the other layers (`progression` projects the relation kernel)."""
-    grids = {j: [dict(binom_of_shift(p, j).terms) for p in prog.all_polys()]
+    grids = {j: [binom_of_shift(p, j) for p in prog.all_polys()]
              for j in range(1, cap + 1)}
     columns = sorted({c for gs in grids.values() for g in gs for c in g}, key=_cell_order)
     rows = {j: [[g.get(c, Fraction(0)) for c in columns] for g in gs]
             for j, gs in grids.items()}
     other = canonical_basis_by_fractions([row for j in rows if j != k for row in rows[j]])
     shared = intersect_row_spaces(canonical_basis_by_fractions(rows[k]), other) if other else []
-    return tuple(BiPoly({c: v for c, v in zip(columns, row) if v}) for row in shared)
+    return tuple({c: v for c, v in zip(columns, row) if v} for row in shared)
 
 
 def relation_kernel_dense(prog: Progression, cap: int):
@@ -179,10 +207,8 @@ def relation_kernel_dense(prog: Progression, cap: int):
     rows (b_{ik} layout) for comparison with the main path."""
     t = prog.t
     unknowns = [(i, k) for i in range(t + 1) for k in range(1, cap + 1)]
-    expansions = []
-    all_coeffs = [()] + [tuple(p.coeffs) for p in prog.polys]
-    for i, k in unknowns:
-        expansions.append(_shift_power(all_coeffs[i], k))
+    powers = [_shift_powers(p.coeffs, cap) for p in prog.all_polys()]
+    expansions = [powers[i][k] for i, k in unknowns]
     cells = sorted({cell for exp in expansions for cell in exp})
     rows = []
     for cell in cells:

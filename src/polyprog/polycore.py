@@ -1,12 +1,13 @@
-"""Exact univariate and bivariate polynomials over the rationals.
+"""Exact univariate polynomials over the rationals, and bivariate cell maps.
 
 Two coordinate systems are used throughout: the monomial basis u^k and the
 binomial basis C(u, k) = u(u-1)...(u-k+1)/k!.  The binomial view is the
 native one for integer-valued polynomials (integer coefficients, and the
 forward difference acts as an index shift), so conversions between the two
 must round-trip exactly.  Coefficients are `Fraction`s; the basis
-conversions run on integers scaled by a common denominator.  No floating
-point enters this module.
+conversions run on integers scaled by a common denominator.  A bivariate
+polynomial is a plain cell map {(a, b): coefficient of x^a y^b}, read by
+`binomial_grid` and `cells_text`.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -130,19 +131,25 @@ def to_binomial_basis(p: UniPoly):
         return ()
     den = lcm(*(c.denominator for c in p.coeffs))
     ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    layer = []
+    values = []
     for u in range(len(ints)):
         acc = 0
         for c in reversed(ints):
             acc = acc * u + c
-        layer.append(acc)
-    out = []
-    while layer:
-        out.append(layer[0])
-        layer = [layer[i + 1] - layer[i] for i in range(len(layer) - 1)]
+        values.append(acc)
+    out = forward_differences(values)
     while out and out[-1] == 0:
         out.pop()
     return tuple(Fraction(b, den) for b in out)
+
+
+def forward_differences(values):
+    """Delta^k f(0) for k = 0..n-1, from the values f(0), ..., f(n-1)."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
 
 def from_binomial_basis(bs):
@@ -180,117 +187,24 @@ def substitute_affine(p: UniPoly, r: int, j: int):
     return (shifted - UniPoly([p(j)])).scale(Fraction(1, r))
 
 
-class BiPoly:
-    """Sparse bivariate polynomial: {(a, b): coeff} for x^a y^b."""
+def binomial_grid(cells):
+    """Coordinates over the C(x,a)C(y,b) grid of the polynomial held as the
+    cell map `cells` = {(a, b): coefficient of x^a y^b}, as {(a, b): value}.
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for (a, b), c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _frac(c)
-                if c:
-                    key = (int(a), int(b))
-                    t[key] = t.get(key, Fraction(0)) + c
-                    if not t[key]:
-                        del t[key]
-        object.__setattr__(self, "terms", dict(t))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def from_unipoly_in_y(cls, p: UniPoly):
-        return cls({(0, k): c for k, c in enumerate(p.coeffs)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + c
-            if not t[k]:
-                del t[k]
-        return BiPoly(t)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            out = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    k = (a1 + a2, b1 + b2)
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
-            return BiPoly(out)
-        s = _frac(other)
-        return BiPoly({k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __call__(self, x, y):
-        return sum((c * Fraction(x) ** a * Fraction(y) ** b
-                    for (a, b), c in self.terms.items()), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"BiPoly({bipoly_text(self)!r})"
-
-
-def compose_shift(q: UniPoly, p: UniPoly):
-    """q(x + p(y)) as a BiPoly, exact (Horner in the argument x + p(y))."""
-    arg = BiPoly({(1, 0): 1}) + BiPoly.from_unipoly_in_y(p)
-    acc = BiPoly.zero()
-    for c in reversed(q.coeffs):
-        acc = acc * arg + BiPoly({(0, 0): c})
-    return acc
-
-
-def binom_of_shift(p: UniPoly, k: int):
-    """C(x + p(y), k) as a BiPoly."""
-    return compose_shift(binomial_poly(k), p)
-
-
-def bipoly_to_binomial_grid(r: BiPoly):
-    """Coordinates of r over the C(x,a)C(y,b) grid, as {(a,b): Fraction}.
-
-    Exact; for integer-valued polynomials all coordinates are integers."""
-    if r.is_zero:
+    Iterated forward differences at 0 of its values on {0..dx} x {0..dy};
+    integer coefficients keep every step in integers."""
+    if not cells:
         return {}
-    dx = max(a for a, _ in r.terms)
-    dy = max(b for _, b in r.terms)
-    # Iterated forward differences in both variables, evaluated at 0.
-    values = [[r(x, y) for y in range(dy + 1)] for x in range(dx + 1)]
-    for x in range(dx + 1):
-        row = values[x]
-        diffs = []
-        for _ in range(dy + 1):
-            diffs.append(row[0])
-            row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        values[x] = diffs
+    dx = max(a for a, _ in cells)
+    dy = max(b for _, b in cells)
+    cols = [forward_differences([sum(c * x ** a * y ** b for (a, b), c in cells.items())
+                                 for y in range(dy + 1)])
+            for x in range(dx + 1)]
     out = {}
     for b in range(dy + 1):
-        col = [values[x][b] for x in range(dx + 1)]
-        for a in range(dx + 1):
-            if col[0]:
-                out[(a, b)] = col[0]
-            col = [col[i + 1] - col[i] for i in range(len(col) - 1)]
+        for a, v in enumerate(forward_differences([col[b] for col in cols])):
+            if v:
+                out[(a, b)] = v
     return out
 
 
@@ -301,47 +215,20 @@ def _coeff_text(c: Fraction):
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def cells_text(cells, names=("x", "y")):
+    """Text of the polynomial held as the cell map {(a, b): coefficient of
+    x^a y^b}: by ascending total degree, then y-degree."""
+    parts = []
+    for (a, b), c in sorted(cells.items(), key=lambda kv: (sum(kv[0]), kv[0][1], kv[0][0])):
+        if c:
+            powers = [v + (f"^{e}" if e > 1 else "") for v, e in zip(names, (a, b)) if e]
+            head = [] if abs(c) == 1 and powers else [_coeff_text(abs(c))]
+            parts.append(f" {'-' if c < 0 else '+'} " + "*".join(head + powers))
+    text = "".join(parts)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def poly_text(p: UniPoly, var="y"):
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        if k == 0:
-            body = _coeff_text(abs(c))
-        else:
-            mag = abs(c)
-            head = "" if mag == 1 else _coeff_text(mag) + "*"
-            body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def bipoly_text(r: BiPoly):
-    if r.is_zero:
-        return "0"
-    items = sorted(r.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1], kv[0][0]))
-    parts = []
-    for (a, b), c in items:
-        names = []
-        if a:
-            names.append("x" + (f"^{a}" if a > 1 else ""))
-        if b:
-            names.append("y" + (f"^{b}" if b > 1 else ""))
-        mag = abs(c)
-        if not names:
-            body = _coeff_text(mag)
-        else:
-            head = "" if mag == 1 else _coeff_text(mag) + "*"
-            body = head + "*".join(names)
-        parts.append(("-" if c < 0 else "+", body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return cells_text({(0, k): c for k, c in enumerate(p.coeffs)}, ("x", var))

@@ -35,9 +35,9 @@ from math import comb, factorial, gcd, lcm, prod
 
 from . import ratlinalg as rl
 from .polycore import (
-    BiPoly,
     UniPoly,
-    compose_shift,
+    cells_text,
+    forward_differences,
     from_binomial_basis,
     is_integral,
     poly_text,
@@ -110,14 +110,29 @@ class Relation:
     def is_zero(self):
         return all(q.is_zero for q in self.qs)
 
-    def expand(self, prog: Progression):
-        acc = BiPoly.zero()
-        for q, p in zip(self.qs, prog.all_polys()):
-            acc = acc + compose_shift(q, p)
-        return acc
-
     def holds_for(self, prog: Progression):
-        return self.expand(prog).is_zero
+        """Exact re-check in integers, sharing nothing with the expansion
+        table that solved for the relation.  R(x, y) = sum_i Q_i(x + P_i(y))
+        has x-degree <= m = max deg Q_i and y-degree <= m * max deg P_i, so
+        it is zero iff it vanishes on {0..m} x {0..m * max deg P_i}, where
+        every C(x + P_i(y), k) is an integer."""
+        coords = [to_binomial_basis(q) for q in self.qs]
+        m = max(len(bs) for bs in coords) - 1
+        den = lcm(*(b.denominator for bs in coords for b in bs))
+        ints = [[b.numerator * (den // b.denominator) for b in bs] for bs in coords]
+        scale, scaled = _scaled_polys(prog)
+        for y in range(m * prog.max_degree() + 1):
+            shifts = [sum(c * y ** e for e, c in enumerate(q)) // scale for q in scaled]
+            for x in range(m + 1):
+                total = 0
+                for bs, shift in zip(ints, shifts):
+                    binom = 1       # C(n, k) for n = x + P_i(y), k = 0, 1, ...
+                    for k, b in enumerate(bs):
+                        total += b * binom
+                        binom = binom * (x + shift - k) // (k + 1)
+                if total:
+                    return False
+        return True
 
     def text(self):
         return "(" + ", ".join(poly_text(q, var="u") for q in self.qs) + ")"
@@ -257,7 +272,7 @@ def relation_space(prog: Progression, cap: int) -> RelationSpace:
     )
     for rel in space.basis:
         if not rel.holds_for(prog):
-            raise AssertionError("relation basis element fails exact expansion")
+            raise AssertionError("relation basis element fails the exact re-check")
     return space
 
 
@@ -323,16 +338,10 @@ def _binomial_rows(prog: Progression, k: int):
               for q in scaled]
     rows = []
     for m in range(k + 1):
-        diffs = []
-        for vals in values:
-            # C(n, m) for any integer n, negative included
-            layer = [prod(range(n - m + 1, n + 1)) // factorial(m)
-                     for n in vals[:m * prog.max_degree() + 1]]
-            coords = []
-            while layer:
-                coords.append(layer[0])
-                layer = [b - a for a, b in zip(layer, layer[1:])]
-            diffs.append(coords)
+        # C(n, m) for any integer n, negative included
+        diffs = [forward_differences([prod(range(n - m + 1, n + 1)) // factorial(m)
+                                      for n in vals[:m * prog.max_degree() + 1]])
+                 for vals in values]
         rows.extend(list(col) for col in zip(*diffs))
     return rows
 
@@ -412,9 +421,9 @@ class DegreeLayer:
     degrees, and quotient representatives (shared + proper spans the layer)."""
 
     k: int
-    basis: tuple          # BiPoly, canonical integral basis of the layer
-    shared: tuple         # BiPoly, basis of (layer ∩ sum of other layers)
-    proper: tuple         # BiPoly, representatives completing shared
+    basis: tuple          # cell maps, canonical integral basis of the layer
+    shared: tuple         # cell maps, basis of (layer ∩ sum of other layers)
+    proper: tuple         # cell maps, representatives completing shared
 
     @property
     def dim(self):
@@ -451,9 +460,9 @@ def graded_spaces(prog: Progression, k_max: int, cap: int | None = None) -> Grad
         proper_rows = rl.extend_basis(shared_rows, basis_rows)
         layers.append(DegreeLayer(
             k=k,
-            basis=tuple(_row_to_bipoly(r, columns) for r in basis_rows),
-            shared=tuple(_row_to_bipoly(r, columns) for r in shared_rows),
-            proper=tuple(_row_to_bipoly(r, columns) for r in proper_rows),
+            basis=tuple(_row_cells(r, columns) for r in basis_rows),
+            shared=tuple(_row_cells(r, columns) for r in shared_rows),
+            proper=tuple(_row_cells(r, columns) for r in proper_rows),
         ))
         if len(shared_rows) + len(proper_rows) != len(basis_rows):
             raise AssertionError("layer dimensions inconsistent")
@@ -474,8 +483,9 @@ def _degree_images(relations, rows, cap, k):
     return images
 
 
-def _row_to_bipoly(row, columns):
-    return BiPoly({col: v for col, v in zip(columns, row) if v})
+def _row_cells(row, columns):
+    """The cell map {(a, b): value} of a row over the grid cells `columns`."""
+    return {col: v for col, v in zip(columns, row) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +494,7 @@ def _row_to_bipoly(row, columns):
 @dataclass(frozen=True)
 class InhomogeneityWitness:
     k: int
-    shared_poly: BiPoly
+    shared_poly: dict     # cell map
     relation: Relation
 
 
@@ -536,12 +546,12 @@ def _inhomogeneity_witness(prog: Progression, cap: int):
             continue
         shared = rl.canonical_basis(images)[0]
         # the rows, and so the images, carry the scale d_k
-        coords = rl.coordinates_in_rows([scales[k] * x for x in shared], images)
+        coords = rl.coordinates_in_rows([[scales[k] * x for x in shared]], images)[0]
         vec = [sum(c * x for c, x in zip(coords, col) if c) for col in zip(*relations)]
         rel = _relation_from_vector(prog, cap, vec)
         if not rel.holds_for(prog):
-            raise AssertionError("witness relation fails expansion")
-        return InhomogeneityWitness(k=k, shared_poly=_row_to_bipoly(shared, columns),
+            raise AssertionError("witness relation fails the exact re-check")
+        return InhomogeneityWitness(k=k, shared_poly=_row_cells(shared, columns),
                                     relation=rel)
     raise AssertionError("dimension test and relation kernel disagree")
 
@@ -557,7 +567,7 @@ class CoeffSpace:
 
     k: int
     basis: tuple          # vectors in Q^{t+1} (the decomposition vectors)
-    decomposition: tuple  # (BiPoly layer basis element, vector) pairs
+    decomposition: tuple  # (layer basis cell map, vector) pairs
 
     @property
     def dim(self):
@@ -577,18 +587,15 @@ def coeff_space(prog: Progression, k: int, cap: int | None = None) -> CoeffSpace
     basis_rows = rl.canonical_basis(comp_rows)
     # Components over the layer basis (the rows carry the scale d_k);
     # columns of the coordinate matrix are the decomposition vectors.
-    coord_matrix = []
-    for row in comp_rows:
-        coords = rl.coordinates_in_rows(row, basis_rows)
-        if coords is None:
-            raise AssertionError("layer component must lie in the layer span")
-        coord_matrix.append([c / scales[k] for c in coords])
-    vectors = [tuple(coord_matrix[i][j] for i in range(prog.t + 1))
+    coord_matrix = rl.coordinates_in_rows(comp_rows, basis_rows)
+    if any(coords is None for coords in coord_matrix):
+        raise AssertionError("layer component must lie in the layer span")
+    vectors = [tuple(coords[j] / scales[k] for coords in coord_matrix)
                for j in range(len(basis_rows))]
     if rl.rank(vectors) != len(basis_rows):
         raise AssertionError("decomposition vectors must be independent")
     _verify_coeff_space_definitions(prog, k, vectors)
-    pairs = tuple((_row_to_bipoly(r, columns), v) for r, v in zip(basis_rows, vectors))
+    pairs = tuple((_row_cells(r, columns), v) for r, v in zip(basis_rows, vectors))
     return CoeffSpace(k=k, basis=tuple(vectors), decomposition=pairs)
 
 
@@ -673,7 +680,6 @@ def complexity_report(prog: Progression, cap: int | None = None,
     homog = homogeneity_report(prog, cap)
     k_report = min(cap, max(2, max(prof) + 1))
     graded = graded_spaces(prog, k_max=k_report, cap=cap)
-    from .polycore import bipoly_text
     report = {
         "schema": "polyprog-report/1",
         "progression": prog.text(),
@@ -688,14 +694,14 @@ def complexity_report(prog: Progression, cap: int | None = None,
         "layer_dims": {str(layer.k): layer.dim for layer in graded.layers},
         "proper_dims": {str(layer.k): layer.proper_dim for layer in graded.layers},
         "shared_dims": {str(layer.k): len(layer.shared) for layer in graded.layers},
-        "shared_polys": [bipoly_text(w) for layer in graded.layers for w in layer.shared],
+        "shared_polys": [cells_text(w) for layer in graded.layers for w in layer.shared],
         "coeff_space_dims": {str(k): coeff_space(prog, k, cap).dim
                              for k in range(1, k_report + 1)},
     }
     if homog["witness"] is not None:
         report["inhomogeneity_witness"] = {
             "k": homog["witness"].k,
-            "shared_poly": bipoly_text(homog["witness"].shared_poly),
+            "shared_poly": cells_text(homog["witness"].shared_poly),
             "relation": homog["witness"].relation.text(),
         }
     if homog["homogeneous"]:

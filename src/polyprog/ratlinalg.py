@@ -248,31 +248,35 @@ def canonical_basis(rows):
     return out
 
 
-def coordinates_in_rows(target, rows):
-    """Write `target` as a rational combination of `rows`, or None.
+def coordinates_in_rows(targets, rows):
+    """Write each target as a rational combination of `rows`: one tuple per
+    target, or None where the target lies outside the row space.
 
-    When `rows` are linearly dependent the combination is the RREF-pivot
-    one (deterministic)."""
+    One elimination serves every target.  When `rows` are linearly
+    dependent the combination is the RREF-pivot one (deterministic)."""
     red, pivots, transform = rref_with_transform(rows)
-    ncols = len(target)
-    residual = [Fraction(x) for x in target]
-    coeffs_red = [Fraction(0)] * len(red)
-    for i, pc in enumerate(pivots):
-        if residual[pc] != 0:
-            f = residual[pc]
-            coeffs_red[i] = f
-            residual = [a - f * b for a, b in zip(residual, red[i])]
-    if any(residual):
-        return None
-    coeffs = [Fraction(0)] * len(rows)
-    for i, t_row in enumerate(transform):
-        if coeffs_red[i]:
-            coeffs = [c + coeffs_red[i] * t for c, t in zip(coeffs, t_row)]
-    return tuple(coeffs)
+    out = []
+    for target in targets:
+        residual = [Fraction(x) for x in target]
+        coeffs_red = [Fraction(0)] * len(red)
+        for i, pc in enumerate(pivots):
+            if residual[pc] != 0:
+                f = residual[pc]
+                coeffs_red[i] = f
+                residual = [a - f * b for a, b in zip(residual, red[i])]
+        if any(residual):
+            out.append(None)
+            continue
+        coeffs = [Fraction(0)] * len(rows)
+        for i, t_row in enumerate(transform):
+            if coeffs_red[i]:
+                coeffs = [c + coeffs_red[i] * t for c, t in zip(coeffs, t_row)]
+        out.append(tuple(coeffs))
+    return out
 
 
 def in_row_space(target, rows):
-    return coordinates_in_rows(target, rows) is not None
+    return coordinates_in_rows([target], rows)[0] is not None
 
 
 def same_row_space(rows_a, rows_b):

@@ -27,9 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlinalg as rl
-from .polycore import BiPoly, bipoly_to_binomial_grid, to_binomial_basis
+from .polycore import binomial_grid, to_binomial_basis
 from .progression import (Progression, Relation, graded_spaces, _layer_rows,
-                          _scaled_polys)
+                          _row_cells, _scaled_polys)
 
 FRAC_BITS = 256
 _SCALE = 1 << FRAC_BITS
@@ -338,15 +338,12 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
     graded = graded_spaces(prog, k_max=s, cap=cap)
     columns, layer_rows, scales = _layer_rows(prog, cap)
 
-    def poly_row(bp):
-        return [bp.terms.get(c, Fraction(0)) for c in columns]
+    def poly_row(cells):
+        return [cells.get(c, 0) for c in columns]
 
-    shared_rows = []
-    for layer in graded.layers:
-        shared_rows.extend(poly_row(w) for w in layer.shared)
-    shared_basis_rows = rl.canonical_basis(shared_rows) if shared_rows else []
-    shared_polys = [BiPoly({c: v for c, v in zip(columns, row) if v})
-                    for row in shared_basis_rows]
+    shared_basis_rows = rl.canonical_basis(
+        [poly_row(w) for layer in graded.layers for w in layer.shared])
+    shared_polys = [_row_cells(row, columns) for row in shared_basis_rows]
     per_degree = {}
     shared_vectors = {}
     for i in range(1, s + 1):
@@ -357,8 +354,7 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
             raise AssertionError(
                 "proper representatives and shared basis must be independent")
         vmat, wmat = [], []
-        for row in layer_rows[i]:
-            coords = rl.coordinates_in_rows(row, combined) if combined else None
+        for coords in rl.coordinates_in_rows(layer_rows[i], combined):
             if coords is None:
                 raise AssertionError("component must decompose over the layer")
             # the layer rows carry the scale d_i
@@ -374,15 +370,9 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
     return per_degree, (tuple(shared_polys), shared_vectors)
 
 
-def _poly_content(bp: BiPoly) -> int:
-    """gcd of the integer binomial-grid coordinates (1 for nonintegral)."""
-    grid = bipoly_to_binomial_grid(bp)
-    g = 0
-    for v in grid.values():
-        if v.denominator != 1:
-            return 1
-        g = math.gcd(g, abs(v.numerator))
-    return max(g, 1)
+def _poly_content(cells) -> int:
+    """gcd of the binomial-grid coordinates of an integer cell map."""
+    return max(math.gcd(*binomial_grid(cells).values()), 1)
 
 
 def closure_subspaces(prog: Progression, w: WeylSystem, deps=None, cap=None):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from polyprog import cyclic, weyl
 from polyprog.cli import main
@@ -294,10 +298,24 @@ def test_broken_invariant_exits_3(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "relations", "x, x+y, x+2y, x+3y")
     assert code == 3 and not out
     doc = json.loads(err)
-    assert doc["check"] == "relation basis element fails exact expansion"
+    assert doc["check"] == "relation basis element fails the exact re-check"
     assert doc["exception"] == "AssertionError"
     # the kernel's own structure check, on a system no cache has seen
     monkeypatch.setattr(rl, "_kernel_attempt", lambda rows, ncols, p: None)
     code, out, err = run_cli(capsys, "relations", "x, x+5y, x+7y^2")
     assert code == 3 and not out
     assert json.loads(err)["exception"] == "ArithmeticError"
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that goes away at once (`| head -c 5`): exit 1, no traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from polyprog.cli import main; sys.exit(main())",
+         "gowers", "--N", "101", "--s-max", "2", "--signal", "quadratic"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyprog.oracle import binom_of_shift, compose_shift
 from polyprog.polycore import (
-    BiPoly,
     UniPoly,
-    binom_of_shift,
+    binomial_grid,
     binomial_poly,
-    bipoly_to_binomial_grid,
-    compose_shift,
+    cells_text,
     from_binomial_basis,
     is_integral,
     poly_text,
@@ -21,6 +20,12 @@ from polyprog.polycore import (
 Y = UniPoly((0, 1))
 Y2 = UniPoly((0, 0, 1))
 Y3 = UniPoly((0, 0, 0, 1))
+
+
+def value(cells, x, y):
+    """The polynomial held as a cell map {(a, b): coeff}, at the point (x, y)."""
+    return sum((c * Fraction(x) ** a * Fraction(y) ** b for (a, b), c in cells.items()),
+               Fraction(0))
 
 
 def test_binomial_basis_of_square():
@@ -131,7 +136,7 @@ def test_partial_derivative_on_shifted_binomials():
         r, lower = binom_of_shift(Y2, k), binom_of_shift(Y2, k - 1)
         for x in range(-3, 4):
             for y in range(-3, 4):
-                assert r(x + 1, y) - r(x, y) == lower(x, y)
+                assert value(r, x + 1, y) - value(r, x, y) == value(lower, x, y)
 
 
 def test_compose_shift_matches_pointwise():
@@ -140,18 +145,25 @@ def test_compose_shift_matches_pointwise():
     r = compose_shift(q, p)
     for x in range(-3, 4):
         for y in range(-3, 4):
-            assert r(x, y) == q(Fraction(x) + p(y))
+            assert value(r, x, y) == q(Fraction(x) + p(y))
 
 
 def test_binomial_grid_roundtrip():
-    r = binom_of_shift(Y2, 2) * BiPoly({(0, 1): 3}) + BiPoly({(2, 2): Fraction(1, 2)})
-    grid = bipoly_to_binomial_grid(r)
+    # r = 3y C(x + y^2, 2) + x^2 y^2 / 2
+    r = {(a, b + 1): 3 * c for (a, b), c in binom_of_shift(Y2, 2).items()}
+    r[(2, 2)] = r.get((2, 2), 0) + Fraction(1, 2)
+    grid = binomial_grid(r)
     for x in range(-4, 5):
         for y in range(-4, 5):
-            assert r(x, y) == sum(c * binomial_poly(a)(x) * binomial_poly(b)(y)
-                                  for (a, b), c in grid.items())
+            assert value(r, x, y) == sum(c * binomial_poly(a)(x) * binomial_poly(b)(y)
+                                         for (a, b), c in grid.items())
+    # integer cells stay in integers
+    assert all(type(v) is int for v in binomial_grid({(1, 2): 3, (0, 1): -1}).values())
 
 
 def test_poly_text_ascending():
     assert poly_text(UniPoly((0, -1, 2))) == "-y + 2*y^2"
     assert poly_text(UniPoly.zero()) == "0"
+    assert cells_text({(0, 2): -1, (1, 0): 2, (0, 0): Fraction(1, 2)}) == "1/2 + 2*x - y^2"
+    assert cells_text({(1, 1): -3}) == "-3*x*y"
+    assert cells_text({}) == "0"

@@ -99,10 +99,11 @@ def test_rref_transform_identity():
 def test_coordinates_roundtrip():
     basis = [[1, 1, 1, 1], [0, 1, 2, 0], [0, 0, 0, 1]]
     target = [3, 5, 7, 4]
-    coords = rl.coordinates_in_rows(target, basis)
+    coords, outside = rl.coordinates_in_rows([target, [1, 0, 0, 0]], basis)
     rebuilt = [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(4)]
     assert rebuilt == target
-    assert rl.coordinates_in_rows([1, 0, 0, 0], [[0, 1, 0, 0]]) is None
+    assert outside is None
+    assert rl.coordinates_in_rows([[1, 0, 0, 0]], [[0, 1, 0, 0]]) == [None]
 
 
 def test_intersection_contained_in_both():
@@ -143,7 +144,7 @@ def test_hnf_preserves_lattice():
             assert rl.solve_integer_combination(row, h) is not None
         # and conversely
         for hrow in h:
-            coords = rl.coordinates_in_rows(list(hrow), [list(r) for r in rows])
+            coords = rl.coordinates_in_rows([list(hrow)], [list(r) for r in rows])[0]
             assert coords is not None
 
 
