@@ -217,6 +217,10 @@ def _atom_from_text(text):
 def load_scenario(path):
     with open(path) as fh:
         data = json.load(fh)
+    if "dependencies" in data:
+        raise ValueError("scenario key 'dependencies' is not supported; declare a "
+                         "rational dependence by a shared symbol with an offset, "
+                         "e.g. \"sqrt2+1/3\" in place of a separate symbol")
     order = int(data["order"])
     if data.get("system", "standard") == "generators":
         gens = [tuple(_atom_from_text(v) for v in vec)
@@ -228,18 +232,17 @@ def load_scenario(path):
         base = tuple(_atom_from_text(v) for v in data["base"])
         system = weyl.WeylSystem.standard(order, rotation, base)
     expr = parse_progression(data["progression"])
-    deps = [(d[0], d[1], Fraction(d[2])) for d in data.get("dependencies", [])]
-    return system, expr, deps, data
+    return system, expr, data
 
 
 def cmd_weyl(cfg: Config, args):
-    system, expr, deps, raw = load_scenario(args.scenario)
+    system, expr, raw = load_scenario(args.scenario)
     n = _check_modulus(int(raw.get("N", cfg.n_weyl)) if args.N is None else args.N)
     # flag, then scenario, then config (cfg.radius also holds the flag)
     radius = args.radius if args.radius is not None else int(raw.get("radius", cfg.radius))
     prog = expr.progression
     weyl.check_sweep_cost(system, prog, n, radius)
-    closure = weyl.closure_subspaces(prog, system, deps=deps or None, cap=cfg.cap)
+    closure = weyl.closure_subspaces(prog, system, cap=cfg.cap)
     confined = len(closure.coset_shifts) > 1
     if confined:
         weyl.check_confinement_cost(closure, n)

@@ -13,6 +13,7 @@ accumulation, which is all the stated tolerances need.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,8 +178,14 @@ class BudgetExceeded(RuntimeError):
 #   N, N^2 t per modulus: the README five-term count at N = 4001 (cost 6.4e7)
 #   ran in 2.0 s;
 # - popdiff does the same scan on integers: N = 12007 (cost 5.8e8) in 0.85 s.
-# Each ceiling allows about four to seven times its measured cost.
+# Each ceiling allows about four to seven times its measured cost.  At tiny
+# N the fixed cost of each Gowers recursion call dominates: N = 2, S = 18
+# made 262,126 calls in 9.3 s, 35 us or 800 units of 44 ns (6.1 s / 1.4e8) a
+# call.  The recursion nests S - 1 deep, within the interpreter's recursion
+# limit less the frames of its callers.
 GOWERS_BUDGET = 5 * 10 ** 8
+GOWERS_CALL_COST = 800
+GOWERS_CALLER_FRAMES = 100
 COUNT_BUDGET = 25 * 10 ** 7
 POPDIFF_BUDGET = 4 * 10 ** 9
 
@@ -191,16 +198,24 @@ def _refuse_above(cost, budget, name, what, formula):
 
 
 def check_gowers_cost(n: int, s_max: int):
-    """Refuse a Gowers norm table of degrees 1..s_max on Z/nZ above
-    GOWERS_BUDGET.  The geometric sum is taken in floats, so the check is
-    constant time for any s_max; it overflows to inf far above the budget."""
-    try:
-        span = s_max if n == 1 else (float(n) ** s_max - 1) / (n - 1)
-    except OverflowError:
-        span = math.inf
-    cost = span * max(math.log2(n), 1.0)
+    """Refuse a Gowers norm table of degrees 1..s_max on Z/nZ whose recursion
+    (s_max - 1 deep, 1 + N + ... + N^(s-2) calls at degree s) the stack cannot
+    take, or whose cost exceeds GOWERS_BUDGET; float sums overflow to inf."""
+    depth, limit = s_max - 1, sys.getrecursionlimit() - GOWERS_CALLER_FRAMES
+    if depth > limit:
+        raise BudgetExceeded(
+            f"Gowers norm recursion depth {depth} exceeds {limit} (the recursion limit "
+            f"{sys.getrecursionlimit()} less GOWERS_CALLER_FRAMES = {GOWERS_CALLER_FRAMES})")
+    span = calls = 0.0
+    width = 1.0
+    for _ in range(s_max):
+        calls += max(span, 1.0)
+        span += width
+        width *= n
+    cost = span * max(math.log2(n), 1.0) + GOWERS_CALL_COST * calls
     return _refuse_above(cost, GOWERS_BUDGET, "GOWERS_BUDGET", "Gowers norm",
-                         "sum_s N^(s-1) log2 N")
+                         f"sum_s N^(s-1) log2 N + GOWERS_CALL_COST = {GOWERS_CALL_COST} "
+                         f"per recursion call")
 
 
 def check_count_cost(moduli, prog: Progression):
@@ -438,10 +453,7 @@ def build_obstruction(prog: Progression, rel: Relation, n: int, m: int):
         raise ValueError("phase multiplier must be nonzero mod N")
     if not rel.holds_for(prog):
         raise ValueError("relation does not hold for the progression")
-    lcm = 1
-    for q in rel.qs:
-        for b in to_binomial_basis(q):
-            lcm = lcm * b.denominator // math.gcd(lcm, b.denominator)
+    lcm = math.lcm(*(b.denominator for q in rel.qs for b in to_binomial_basis(q)))
     if math.gcd(lcm, n) != 1:
         raise ValueError(f"denominator lcm {lcm} shares a factor with N = {n}")
     max_deg = max((int(q.degree) for q in rel.qs if not q.is_zero), default=0)

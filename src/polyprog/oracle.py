@@ -12,9 +12,10 @@ x + P(y), relation vectors from the Fraction system of those expanded
 shifted binomials, the relation re-check by expanding sum_i Q_i(x + P_i(y))
 (`progression` evaluates it on an integer grid), homogeneous relations
 from expansions of (x + P_i)^k, shared layer parts by intersecting row
-spaces, the Fraction RREF, and the linear-model count as the direct sum
-over all N^(d+1) points, where `cyclic` sums Fourier coefficients over a
-mod-N kernel.  On the torus, `step` iterates the standard affine map that
+spaces, the Fraction RREF and the coordinates read off the RREF of
+[rows | I], and the linear-model count as the direct sum over all
+N^(d+1) points, where `cyclic` sums Fourier coefficients over a mod-N
+kernel.  On the torus, `step` iterates the standard affine map that
 `weyl` orbits follow in closed form.
 """
 
@@ -78,7 +79,7 @@ def relation_holds_by_expansion(rel: Relation, prog: Progression):
 
 def rref_by_fractions(rows):
     """Textbook reduced row echelon form over Fraction: (rows, pivot_cols),
-    zero rows dropped.  The slow route `ratlinalg.rref` is checked against."""
+    zero rows dropped."""
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return [], []
@@ -103,16 +104,34 @@ def rref_by_fractions(rows):
     return [tuple(row) for row in mat[:r]], pivots
 
 
+def coordinates_by_fractions(targets, rows):
+    """Each target as a combination of `rows`, or None outside their span,
+    read off the textbook RREF of [rows | I], whose rows (R | T) with R
+    nonzero satisfy T . rows = R (`ratlinalg` reduces fraction-free)."""
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(rows)]
+    red = [(row[:ncols], row[ncols:]) for row in rref_by_fractions(aug)[0] if any(row[:ncols])]
+    out = []
+    for target in targets:
+        residual = [Fraction(x) for x in target]
+        coeffs = [Fraction(0)] * n
+        for left, right in red:
+            pc = next(i for i, x in enumerate(left) if x)
+            f = residual[pc]
+            if f:
+                residual = [a - f * b for a, b in zip(residual, left)]
+                coeffs = [c + f * t for c, t in zip(coeffs, right)]
+        out.append(None if any(residual) else tuple(coeffs))
+    return out
+
+
 def primitive_integer_row(row):
     """Scale a rational vector to coprime integers with positive lead."""
-    den = 1
-    for x in row:
-        f = Fraction(x)
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    ints = [int(Fraction(x) * den) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    row = [Fraction(x) for x in row]
+    den = math.lcm(*(f.denominator for f in row))
+    ints = [int(f * den) for f in row]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 0)

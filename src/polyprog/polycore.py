@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -105,6 +105,14 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({poly_text(self)!r})"
+
+
+def binom_int(n: int, k: int) -> int:
+    """C(n, k) = n(n-1)...(n-k+1)/k! for any integer n; C(n, k) for n < 0
+    is (-1)^k C(k - n - 1, k)."""
+    if k < 0:
+        return 0
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
 
 
 @lru_cache(maxsize=None)

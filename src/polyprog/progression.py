@@ -31,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm
 
 from . import ratlinalg as rl
 from .polycore import (
     UniPoly,
+    binom_int,
     cells_text,
     forward_differences,
     from_binomial_basis,
@@ -185,10 +186,7 @@ def _convolve(a, b):
 def _scaled_polys(prog: Progression):
     """(L, [L*P_0, ..., L*P_t]) as integer coefficient lists, where L is the
     lcm of the monomial denominators of all P_i (P_0 = 0 gives [0])."""
-    den = 1
-    for p in prog.polys:
-        for c in p.coeffs:
-            den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for p in prog.polys for c in p.coeffs))
     return den, [[0]] + [[int(c * den) for c in p.coeffs] for p in prog.polys]
 
 
@@ -338,8 +336,7 @@ def _binomial_rows(prog: Progression, k: int):
               for q in scaled]
     rows = []
     for m in range(k + 1):
-        # C(n, m) for any integer n, negative included
-        diffs = [forward_differences([prod(range(n - m + 1, n + 1)) // factorial(m)
+        diffs = [forward_differences([binom_int(n, m)
                                       for n in vals[:m * prog.max_degree() + 1]])
                  for vals in values]
         rows.extend(list(col) for col in zip(*diffs))
@@ -580,23 +577,27 @@ def coeff_space(prog: Progression, k: int, cap: int | None = None) -> CoeffSpace
     if cap is None:
         cap = max(prog.default_cap(), k)
     columns, layer_rows, scales = _layer_rows(prog, cap)
-    # only the cells of degree k: the Fraction back-solves below scale with width
+    # only the cells of degree k: the eliminations below scale with width
     used = [j for j in range(len(columns)) if any(row[j] for row in layer_rows[k])]
     columns = [columns[j] for j in used]
     comp_rows = [[row[j] for j in used] for row in layer_rows[k]]
     basis_rows = rl.canonical_basis(comp_rows)
-    # Components over the layer basis (the rows carry the scale d_k);
-    # columns of the coordinate matrix are the decomposition vectors.
-    coord_matrix = rl.coordinates_in_rows(comp_rows, basis_rows)
-    if any(coords is None for coords in coord_matrix):
-        raise AssertionError("layer component must lie in the layer span")
-    vectors = [tuple(coords[j] / scales[k] for coords in coord_matrix)
-               for j in range(len(basis_rows))]
+    vectors = _component_vectors(comp_rows, basis_rows, scales[k])
     if rl.rank(vectors) != len(basis_rows):
         raise AssertionError("decomposition vectors must be independent")
     _verify_coeff_space_definitions(prog, k, vectors)
     pairs = tuple((_row_cells(r, columns), v) for r, v in zip(basis_rows, vectors))
     return CoeffSpace(k=k, basis=tuple(vectors), decomposition=pairs)
+
+
+def _component_vectors(comp_rows, basis_rows, scale):
+    """Per basis row, the coordinates of the degree-k components (the rows
+    C(x + P_i(y), k), which carry the scale d_k) over the basis, divided by
+    d_k: the decomposition vectors, one entry per component."""
+    coords = rl.coordinates_in_rows(comp_rows, basis_rows)
+    if any(c is None for c in coords):
+        raise AssertionError("layer component must lie in the layer span")
+    return [tuple(c[j] / scale for c in coords) for j in range(len(basis_rows))]
 
 
 def _verify_coeff_space_definitions(prog, k, vectors):
@@ -623,10 +624,7 @@ def reparametrized_family(prog: Progression, r: int, j: int) -> Progression:
     integer scaling u -> L u reparametrizes x exactly)."""
     subs = [substitute_affine(p, r, j) for p in prog.polys]
     subs = [q - UniPoly([q(0)]) for q in subs]
-    den = 1
-    for q in subs:
-        for b in to_binomial_basis(q):
-            den = den * b.denominator // gcd(den, b.denominator)
+    den = lcm(*(b.denominator for q in subs for b in to_binomial_basis(q)))
     return Progression(tuple(q.scale(den) for q in subs))
 
 

@@ -1,22 +1,22 @@
 """Exact linear algebra over the rationals, plus integer lattice utilities.
 
-Eliminations work in integers: `kernel_basis` takes integer rows, the
-other routines scale rational rows to integers first, and `Fraction`
-appears in returned values and in the small back-solves of
-`coordinates_in_rows`.  Kernels
-of the large integer matrices produced by relation solving are computed
-with a modular pre-pass (numpy, word-sized prime) that guesses the pivot
-structure, followed by an exact fraction-free solve restricted to the
-pivot submatrix.  Every candidate kernel vector is re-verified against the
-full matrix with exact arithmetic, and the rank certificate (a nonzero
-pivot-minor determinant mod p) bounds the kernel dimension from above, so
-the result is exact, not probabilistic.  `rref` is a fraction-free
-Gauss-Jordan elimination; the textbook `Fraction` RREF is kept in
-`oracle` as the independent slow route, and tests compare the two.
+Every elimination works in integers.  Kernels of the large integer
+matrices produced by relation solving are computed with a modular pre-pass
+(numpy, word-sized prime) that guesses the pivot structure, followed by an
+exact fraction-free solve restricted to the pivot submatrix.  Every
+candidate kernel vector is re-verified against the full matrix with exact
+arithmetic, and the rank certificate (a nonzero pivot-minor determinant
+mod p) bounds the kernel dimension from above, so the result is exact, not
+probabilistic.  Every other row-space question (rank, canonical basis,
+coordinates, membership, basis extension, residuals) is answered by the one
+fraction-free Gauss-Jordan `echelon` and the exact `residual` modulo its
+rows; `Fraction` appears only in returned values.  The textbook `Fraction`
+routes are kept in `oracle` as the slow references that tests compare.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,18 +29,11 @@ import numpy as np
 _PRIMES = (2147483629, 2147483587, 2147483563, 2147483549, 2147483543)
 
 
-def _as_int_rows(rows):
-    """Clear denominators row by row, returning lists of ints (row scaling
-    keeps both the row space and the kernel)."""
-    out = []
-    for row in rows:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+def _as_int_row(row):
+    """(ints, den) with ints / den == row: the denominators cleared."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _mod_echelon(mat, p):
@@ -120,18 +113,12 @@ def kernel_basis(rows, ncols=None):
         ncols = len(rows[0]) if rows else 0
     int_rows = [r for r in rows if any(r)]
     if not int_rows or ncols == 0:
-        return [_unit_vector(ncols, j) for j in range(ncols)]
+        return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
     for p in _PRIMES:
         result = _kernel_attempt(int_rows, ncols, p)
         if result is not None:
             return result
     raise ArithmeticError("kernel: all moduli failed structure checks")
-
-
-def _unit_vector(n, j):
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return tuple(v)
 
 
 def _kernel_attempt(int_rows, ncols, p):
@@ -168,17 +155,10 @@ def _kernel_attempt(int_rows, ncols, p):
 
 def rank(rows):
     """Exact rank of rational rows: the pivot count of their echelon form."""
-    return len(_integer_echelon(rows)[1])
+    return len(echelon(rows)[1])
 
 
-def rref(rows):
-    """Reduced row echelon form over Q; returns (reduced_rows, pivot_cols)
-    with Fraction entries, zero rows dropped."""
-    mat, pivots = _integer_echelon(rows)
-    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(mat, pivots)], pivots
-
-
-def _integer_echelon(rows):
+def echelon(rows):
     """Fraction-free Gauss-Jordan: (integer rows, pivot_cols), where row r
     divided by its entry at pivot_cols[r] is row r of the RREF.
 
@@ -187,7 +167,7 @@ def _integer_echelon(rows):
     Row scaling keeps the row space, and the pivot search sees the same
     zero pattern as a textbook Fraction elimination, so the result is the
     same unique RREF up to a nonzero factor per row."""
-    mat = _as_int_rows(rows)
+    mat = [_as_int_row(row)[0] for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -213,34 +193,29 @@ def _integer_echelon(rows):
     return mat[:r], pivots
 
 
-def rref_with_transform(rows):
-    """RREF plus the transform T with T . rows = reduced (zero rows kept).
-
-    Needed when coordinates with respect to the *original* rows matter.
-    """
-    n = len(rows)
-    if n == 0:
-        return [], [], []
-    ncols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, _ = rref(aug)
-    # rref drops zero rows of the *augmented* matrix; augmentation keeps all.
-    out_rows, transform, pivots = [], [], []
-    for row in red:
-        left, right = row[:ncols], row[ncols:]
-        if any(left):
-            pivots.append(next(i for i, x in enumerate(left) if x != 0))
-            out_rows.append(tuple(left))
-            transform.append(tuple(right))
-    return out_rows, pivots, transform
+def residual(vec, rows, pivots):
+    """(ints, den): ints / den is the residual of a rational vector modulo
+    integer rows, each zero on the pivots of the rows before it (the rows
+    of `echelon`, say): the one vector congruent to `vec` that vanishes on
+    every pivot column."""
+    num, den = _as_int_row(vec)
+    for row, c in zip(rows, pivots):
+        f = num[c]
+        if f:
+            piv = row[c]
+            num = [piv * a - f * b for a, b in zip(num, row)]
+            den *= piv
+            g = gcd(den, *num)
+            if g > 1:
+                num, den = [a // g for a in num], den // g
+    return num, den
 
 
 def canonical_basis(rows):
     """Deterministic basis of the row space: the RREF rows scaled to
     coprime integers with positive lead."""
     out = []
-    for row in _integer_echelon(rows)[0]:
+    for row in echelon(rows)[0]:
         g = gcd(*row)
         if next(x for x in row if x) < 0:
             g = -g
@@ -252,49 +227,47 @@ def coordinates_in_rows(targets, rows):
     """Write each target as a rational combination of `rows`: one tuple per
     target, or None where the target lies outside the row space.
 
-    One elimination serves every target.  When `rows` are linearly
-    dependent the combination is the RREF-pivot one (deterministic)."""
-    red, pivots, transform = rref_with_transform(rows)
+    One elimination of [rows | I] serves every target.  Its rows with a
+    pivot in the left block read (R | T) with T . rows = R; a target whose
+    residual modulo them vanishes on the left carries its coordinates,
+    negated, on the right.  When `rows` are linearly dependent the
+    combination is the RREF-pivot one (deterministic)."""
+    n = len(rows)
+    if n == 0:
+        return [None if any(target) else () for target in targets]
+    ncols = len(rows[0])
+    aug = []
+    for i, row in enumerate(rows):
+        ints, d = _as_int_row(row)
+        aug.append(ints + [d if j == i else 0 for j in range(n)])
+    mat, pivots = echelon(aug)
+    k = bisect_left(pivots, ncols)
+    mat, pivots = mat[:k], pivots[:k]
     out = []
     for target in targets:
-        residual = [Fraction(x) for x in target]
-        coeffs_red = [Fraction(0)] * len(red)
-        for i, pc in enumerate(pivots):
-            if residual[pc] != 0:
-                f = residual[pc]
-                coeffs_red[i] = f
-                residual = [a - f * b for a, b in zip(residual, red[i])]
-        if any(residual):
+        num, den = residual(list(target) + [0] * n, mat, pivots)
+        if any(num[:ncols]):
             out.append(None)
-            continue
-        coeffs = [Fraction(0)] * len(rows)
-        for i, t_row in enumerate(transform):
-            if coeffs_red[i]:
-                coeffs = [c + coeffs_red[i] * t for c, t in zip(coeffs, t_row)]
-        out.append(tuple(coeffs))
+        else:
+            out.append(tuple(Fraction(-x, den) for x in num[ncols:]))
     return out
-
-
-def in_row_space(target, rows):
-    return coordinates_in_rows([target], rows)[0] is not None
 
 
 def same_row_space(rows_a, rows_b):
     return canonical_basis(rows_a) == canonical_basis(rows_b)
 
 
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def extend_basis(sub_rows, ambient_rows):
     """Extend a basis of a subspace by ambient rows; returns the added rows
-    (elements of `ambient_rows`, in order)."""
-    current = [list(r) for r in sub_rows]
+    (elements of `ambient_rows`, in order): each one whose residual modulo
+    the growing echelon is nonzero, the residual joining the echelon."""
+    mat, pivots = echelon(sub_rows)
     added = []
     for row in ambient_rows:
-        if not in_row_space(row, current):
-            current.append(list(row))
+        num, _ = residual(row, mat, pivots)
+        if any(num):
+            mat.append(num)
+            pivots.append(next(i for i, x in enumerate(num) if x))
             added.append(tuple(row))
     return added
 
@@ -350,25 +323,17 @@ def hnf_rows(mat):
     return [tuple(row) for row in m[:r]]
 
 
-def left_kernel_int(mat):
-    """Basis of the saturated lattice {v in Z^m : v . mat = 0}."""
-    m = [list(map(int, row)) for row in mat]
-    nrows = len(m)
-    if nrows == 0:
-        return []
-    ncols = len(m[0])
-    aug = [row + [1 if j == i else 0 for j in range(nrows)] for i, row in enumerate(m)]
-    _hnf_in_place(aug, ncols)
-    return [tuple(row[ncols:]) for row in aug if not any(row[:ncols])]
-
-
 def integer_annihilator(rational_rows):
-    """Basis of {eta in Z^n : eta . row = 0 for every row} (saturated)."""
+    """Basis of {eta in Z^n : eta . row = 0 for every row} (saturated): the
+    transform rows of the Hermite form of [columns | I] whose column part
+    vanishes."""
     if not rational_rows:
         return []
-    int_rows = _as_int_rows(rational_rows)
-    cols = _transpose(int_rows)
-    return left_kernel_int(cols)
+    cols = [list(col) for col in zip(*(_as_int_row(row)[0] for row in rational_rows))]
+    n, m = len(cols), len(rational_rows)
+    aug = [col + [int(j == i) for j in range(n)] for i, col in enumerate(cols)]
+    _hnf_in_place(aug, m)
+    return [tuple(row[m:]) for row in aug if not any(row[:m])]
 
 
 def solve_integer_combination(target, lattice_rows):

@@ -27,9 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlinalg as rl
-from .polycore import binomial_grid, to_binomial_basis
-from .progression import (Progression, Relation, graded_spaces, _layer_rows,
-                          _row_cells, _scaled_polys)
+from .polycore import binom_int, binomial_grid, to_binomial_basis
+from .progression import (Progression, Relation, graded_spaces, _component_vectors,
+                          _layer_rows, _row_cells, _scaled_polys)
 
 FRAC_BITS = 256
 _SCALE = 1 << FRAC_BITS
@@ -98,16 +98,6 @@ def _coeff_fp(value) -> int:
         return value.fp
     f = Fraction(value)
     return (f.numerator * _SCALE) // f.denominator
-
-
-def binom_int(n: int, k: int) -> int:
-    """C(n, k) for any integer n (falling factorial; exact division)."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= (n - i)
-    return num // math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -353,20 +343,9 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
         if combined and rl.rank(combined) != len(combined):
             raise AssertionError(
                 "proper representatives and shared basis must be independent")
-        vmat, wmat = [], []
-        for coords in rl.coordinates_in_rows(layer_rows[i], combined):
-            if coords is None:
-                raise AssertionError("component must decompose over the layer")
-            # the layer rows carry the scale d_i
-            coords = [c / scales[i] for c in coords]
-            vmat.append(coords[:len(proper_rows)])
-            wmat.append(coords[len(proper_rows):])
-        vvecs = [tuple(vmat[c][j] for c in range(prog.t + 1))
-                 for j in range(len(proper_rows))]
-        wvecs = [tuple(wmat[c][j] for c in range(prog.t + 1))
-                 for j in range(len(shared_basis_rows))]
-        per_degree[i] = (tuple(layer.proper), tuple(vvecs))
-        shared_vectors[i] = tuple(wvecs)
+        vectors = _component_vectors(layer_rows[i], combined, scales[i])
+        per_degree[i] = (tuple(layer.proper), tuple(vectors[:len(proper_rows)]))
+        shared_vectors[i] = tuple(vectors[len(proper_rows):])
     return per_degree, (tuple(shared_polys), shared_vectors)
 
 
@@ -375,7 +354,7 @@ def _poly_content(cells) -> int:
     return max(math.gcd(*binomial_grid(cells).values()), 1)
 
 
-def closure_subspaces(prog: Progression, w: WeylSystem, deps=None, cap=None):
+def closure_subspaces(prog: Progression, w: WeylSystem, cap=None):
     """The affine closure of the progression orbit tuple.
 
     The orbit splits into a sum of (integral polynomial) x (real ambient
@@ -386,30 +365,12 @@ def closure_subspaces(prog: Progression, w: WeylSystem, deps=None, cap=None):
     homogeneous progression there is no shared part, every coefficient is
     purely irrational, and the closure is the full expected subgroup with a
     single coset.
-
-    `deps` may list extra symbol declarations as (symbol, base_symbol,
-    offset) aliases; shared symbols with rational offsets already encode
-    the dependencies, so this is normally None.
     """
     s, t = w.order, prog.t
     ncomp = t + 1
     dim = s * ncomp
-    alias = {}
-    dep_records = []
-    if deps:
-        for name, base_sym, off in deps:
-            alias[name] = (base_sym, Fraction(off))
-            dep_records.append(f"{name} = {base_sym} + {Fraction(off)}")
-
-    def resolve(value):
-        if isinstance(value, Irrational) and value.symbol in alias:
-            base_sym, off = alias[value.symbol]
-            return Irrational(base_sym, value.offset + off)
-        return value
-
     per_degree, (shared_polys, shared_vectors) = closure_decomposition(prog, s, cap)
-    gens = [[resolve(v) for v in vec] for vec in w.gens]
-    for vec in gens:
+    for vec in w.gens:
         syms = [v.symbol for v in vec if isinstance(v, Irrational)]
         if len(set(syms)) != len(syms):
             raise ValueError("a generator vector reuses a symbol; the closure "
@@ -421,7 +382,7 @@ def closure_subspaces(prog: Progression, w: WeylSystem, deps=None, cap=None):
         for q, v in zip(polys, vvecs):
             coeff = _SymbolicVector(dim)
             for l in range(i, s + 1):
-                entry = gens[i - 1][l - 1]
+                entry = w.gens[i - 1][l - 1]
                 for c in range(ncomp):
                     coeff.add(_ambient_index(l, c, ncomp), entry, v[c])
             terms.append((q, coeff))
@@ -430,7 +391,7 @@ def closure_subspaces(prog: Progression, w: WeylSystem, deps=None, cap=None):
         for i in range(1, s + 1):
             wv = shared_vectors[i][j]
             for l in range(i, s + 1):
-                entry = gens[i - 1][l - 1]
+                entry = w.gens[i - 1][l - 1]
                 for c in range(ncomp):
                     coeff.add(_ambient_index(l, c, ncomp), entry, wv[c])
         terms.append((r_poly, coeff))
@@ -440,38 +401,27 @@ def closure_subspaces(prog: Progression, w: WeylSystem, deps=None, cap=None):
         for vec in coeff.sym.values():
             if any(vec):
                 directions.append(list(vec))
-    basis = rl.canonical_basis(directions) if directions else []
+    span, pivots = rl.echelon(directions)
+    basis = rl.canonical_basis(span)
     # Rational parts parallel to the subspace are absorbed by it (the
     # irrational sweep already covers them); only the residual mod the
     # span shifts cosets.
-    span_rref, span_pivots = rl.rref(basis) if basis else ([], [])
     shift_gens = []
     for q, coeff in terms:
         if not any(coeff.rat):
             continue
-        residual = _reduce_mod_span(coeff.rat, span_rref, span_pivots)
-        if any(residual):
+        num, den = rl.residual(coeff.rat, span, pivots)
+        if any(num):
             content = _poly_content(q)
-            shift_gens.append([content * v for v in residual])
+            shift_gens.append([Fraction(content * v, den) for v in num])
     shifts = _shift_group(shift_gens, dim)
     base_fp = w.base_fp()
     offset = tuple(base_fp[l - 1] for l in range(1, s + 1) for _ in range(ncomp))
-    for vec in w.gens:
-        for entry in vec:
-            if isinstance(entry, Irrational) and entry.offset:
-                dep_records.append(f"{entry.symbol} offset {entry.offset}")
+    dep_records = [f"{entry.symbol} offset {entry.offset}" for vec in w.gens for entry in vec
+                   if isinstance(entry, Irrational) and entry.offset]
     return AffineClosure(offset=offset, subspace_basis=tuple(tuple(v) for v in basis),
                          coset_shifts=tuple(shifts), ambient_dim=dim, order=s,
                          components=ncomp, dependencies=tuple(dep_records))
-
-
-def _reduce_mod_span(vec, span_rref, span_pivots):
-    residual = [Fraction(v) for v in vec]
-    for row, pc in zip(span_rref, span_pivots):
-        if residual[pc]:
-            f = residual[pc]
-            residual = [a - f * b for a, b in zip(residual, row)]
-    return residual
 
 
 def _shift_group(shift_gens, dim, limit=10000):

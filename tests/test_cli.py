@@ -167,6 +167,20 @@ def test_weyl_rejects_zero_modulus(tmp_path, capsys):
     assert code == 2 and not out and "N must be >= 1" in err
 
 
+def test_weyl_refuses_dependencies_key(tmp_path, capsys):
+    # an alias changed the symbolic closure but not the orbit the engines
+    # compute; a shared symbol declares the same dependence for both
+    scenario = {"order": 2, "system": "generators",
+                "generators": [["sqrt2", "0"], ["0", "sqrt3"]],
+                "dependencies": [["sqrt3", "sqrt2", "1/3"]],
+                "progression": "x, x+y, x+2y, x+y^2", "N": 300, "radius": 1}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "weyl", str(path))
+    assert code == 2 and not out
+    assert "'dependencies'" in err and '"sqrt2+1/3"' in err
+
+
 def test_weyl_refuses_sweep_above_budget(tmp_path, capsys):
     import time
     scenario = {"order": 2, "system": "generators",
@@ -240,6 +254,8 @@ def test_engines_refuse_work_above_their_ceilings(capsys):
     five = "x, x+y^2, x+2y^2, x+y^3, x+2y^3"
     for argv, name in ((["gowers", "--N", "101", "--signal", "quadratic", "--s-max", "6"],
                         "GOWERS_BUDGET"),
+                       # at N = 2 the cost is in the recursion's 3.4e7 calls
+                       (["gowers", "--N", "2", "--s-max", "25"], "GOWERS_BUDGET"),
                        (["popdiff", five, "--N", "1000003"], "POPDIFF_BUDGET"),
                        (["count", five, "--N", "101,100003"], "COUNT_BUDGET")):
         start = time.perf_counter()
@@ -247,6 +263,12 @@ def test_engines_refuse_work_above_their_ceilings(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and not out
         assert "cost" in err and f"exceeds {name} = " in err
+    # at N = 1 the recursion would nest 1199 deep
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gowers", "--N", "1", "--s-max", "1200")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert "recursion depth 1199 exceeds" in err and "GOWERS_CALLER_FRAMES = " in err
 
 
 def test_documented_engine_runs_fit_their_ceilings():

@@ -98,7 +98,7 @@ def test_relation_space_contains_degree_two_relation():
             out.extend(bs[1:3])
         return out
     basis_rows = [row(r) for r in space.basis]
-    assert rl.in_row_space(row(DEGREE2), basis_rows)
+    assert rl.coordinates_in_rows([row(DEGREE2)], basis_rows)[0] is not None
 
 
 def test_relation_space_trivial_for_independent():
@@ -192,7 +192,8 @@ def test_graded_layers_within_span():
         spanning = [[cell.get(c, Fraction(0)) for c in columns]
                     for cell in prog_cells(INH, layer.k)]
         for b in layer.basis:
-            assert rl.in_row_space([b.get(c, 0) for c in columns], spanning)
+            coords = rl.coordinates_in_rows([[b.get(c, 0) for c in columns]], spanning)
+            assert coords[0] is not None
 
 
 def prog_cells(prog, k):
@@ -249,7 +250,7 @@ def test_coeff_space_unit_vectors():
                                             (0, 0, 0, 1)]
     cs2 = coeff_space(HOM, 2)
     assert cs2.dim == 4
-    assert rl.in_row_space([0, 0, 1, 0], [list(v) for v in cs2.basis])
+    assert rl.coordinates_in_rows([[0, 0, 1, 0]], [list(v) for v in cs2.basis])[0] is not None
     assert coeff_space(INH, 1).dim == 3
 
 
@@ -271,7 +272,7 @@ def test_coeff_space_product_containment():
             prod_rows = [[a * b for a, b in zip(u, v)]
                          for u in bases[i] for v in bases[j]]
             for vec in bases[i + j]:
-                assert rl.in_row_space(vec, prod_rows)
+                assert rl.coordinates_in_rows([vec], prod_rows)[0] is not None
 
 
 def test_homogeneity_matches_layer_route():
@@ -408,7 +409,7 @@ def test_relation_space_monotone_in_cap(prog):
         for v in _relation_vectors(prog, cap):
             padded = [x for i in range(prog.t + 1)
                       for x in list(v[i * cap:(i + 1) * cap]) + [0]]
-            assert rl.in_row_space(padded, upper)
+            assert rl.coordinates_in_rows([padded], upper)[0] is not None
         prof, _ = complexity_profile(prog, cap)
         if prev_prof is not None:
             assert all(a <= b for a, b in zip(prev_prof, prof))

@@ -73,10 +73,57 @@ rational_matrices = st.integers(min_value=1, max_value=6).flatmap(
 @given(rational_matrices)
 @settings(max_examples=200, deadline=None)
 def test_rref_matches_fraction_route(rows):
-    assert rl.rref(rows) == oracle.rref_by_fractions(rows)
     assert rl.canonical_basis(rows) == oracle.canonical_basis_by_fractions(rows)
-    assert rl.rref([[int(x) for x in row] for row in rows]) == \
-        oracle.rref_by_fractions([[int(x) for x in row] for row in rows])
+    int_rows = [[int(x) for x in row] for row in rows]
+    assert rl.canonical_basis(int_rows) == oracle.canonical_basis_by_fractions(int_rows)
+
+
+def _combination(weights, rows):
+    return [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(rows[0]))]
+
+
+@given(rational_matrices, st.data())
+@settings(max_examples=200, deadline=None)
+def test_coordinates_match_fraction_route(base, data):
+    # dependent rows in any order; targets inside the span and arbitrary
+    # ones, most of them outside
+    n = len(base[0])
+    weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    extra = data.draw(st.lists(weights, max_size=3))
+    rows = data.draw(st.permutations(base + [_combination(w, base) for w in extra]))
+    inside = [_combination(data.draw(weights), base) for _ in range(2)]
+    vectors = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                       min_size=n, max_size=n)
+    targets = inside + data.draw(st.lists(vectors, max_size=2))
+    coords = rl.coordinates_in_rows(targets, rows)
+    assert coords == oracle.coordinates_by_fractions(targets, rows)
+    for target, c in zip(inside, coords):
+        assert c is not None and _combination(c, rows) == target
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_extend_basis_matches_rank_route(data):
+    # sparse rows, so pivots fall anywhere, and ambient rows that repeat
+    # combinations of earlier ones
+    n = data.draw(st.integers(1, 6))
+    sparse = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n, max_size=n)
+    sub = data.draw(st.lists(sparse, max_size=3))
+    ambient = []
+    for _ in range(data.draw(st.integers(0, 7))):
+        if ambient and data.draw(st.booleans()):
+            weights = st.lists(st.integers(-2, 2), min_size=len(ambient), max_size=len(ambient))
+            ambient.append(_combination(data.draw(weights), ambient))
+        else:
+            ambient.append(data.draw(sparse))
+    # the reference adds an ambient row whenever it raises the rank
+    current, expected = list(sub), []
+    for row in ambient:
+        if len(oracle.rref_by_fractions(current + [row])[0]) > \
+                len(oracle.rref_by_fractions(current)[0]):
+            current.append(row)
+            expected.append(tuple(row))
+    assert rl.extend_basis(sub, ambient) == expected
 
 
 def test_rank_plus_nullity():
@@ -85,15 +132,6 @@ def test_rank_plus_nullity():
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         assert rl.rank(rows) + len(rl.kernel_basis(rows, n)) == n
-
-
-def test_rref_transform_identity():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 2]]
-    red, pivots, transform = rl.rref_with_transform(rows)
-    for i, out in enumerate(red):
-        rebuilt = [sum(Fraction(transform[i][j]) * rows[j][c] for j in range(len(rows)))
-                   for c in range(3)]
-        assert tuple(rebuilt) == out
 
 
 def test_coordinates_roundtrip():
@@ -114,8 +152,8 @@ def test_intersection_contained_in_both():
         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         inter = oracle.intersect_row_spaces(a, b)
         for v in inter:
-            assert rl.in_row_space(v, a)
-            assert rl.in_row_space(v, b)
+            assert rl.coordinates_in_rows([v], a)[0] is not None
+            assert rl.coordinates_in_rows([v], b)[0] is not None
         # dimension formula
         dim_sum = rl.rank([*a, *b])
         assert len(inter) == rl.rank(a) + rl.rank(b) - dim_sum

@@ -8,9 +8,11 @@ Each side runs from its own files: the base revision is exported with
 Every workload of BENCHMARK.json gets PAIRS pairs of runs, each as long as
 its `run_seconds`.  Pair i runs both sides on seed SEED0 + i, the base
 first in even pairs and the working tree first in odd ones, so a drift in
-machine speed falls on both.  The file keeps every run and, per metric,
-each side's median and quartiles and the number of pairs the working tree
-won.
+machine speed falls on both.  The file keeps every run, with its length
+in seconds (the harness's checks after the run included) and its `rounds`
+line, and, per metric, each side's median and quartiles and the number of
+pairs the working tree won.  `run_length_s` gives each side's median run
+length.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,13 +36,19 @@ METRICS = ("setup_s", "wall_s", "cpu_s", "op_p50_s", "peak_rss_mb")
 
 
 def run_harness(tree: Path, workload: str, seed: int, seconds: float):
+    """One run's end-to-end metrics, its elapsed seconds (the harness's
+    checks after the run included) and its `rounds ... attempted ...` line."""
+    start = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    elapsed = time.perf_counter() - start
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "elapsed_s": elapsed,
+            "rounds": next(line for line in lines if line.startswith("rounds ")),
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -56,6 +65,10 @@ def summarize(pairs):
         summary[name] = {"base": quartiles(base), "head": quartiles(head),
                          "head_wins": sum(h < b for b, h in zip(base, head)),
                          "pairs": len(pairs)}
+    # A change that makes operations faster fits more rounds, and so more
+    # checks, into each run: the run length shows it.
+    summary["run_length_s"] = {side: statistics.median(p[side]["elapsed_s"] for p in pairs)
+                               for side in ("base", "head")}
     return summary
 
 
@@ -91,7 +104,8 @@ def main(argv=None):
                 for side, tree in order:
                     pair[side] = run_harness(tree, workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: wall_s {pair[side]['wall_s']:.3f} "
-                          f"peak_rss_mb {pair[side]['peak_rss_mb']:.1f}", file=sys.stderr)
+                          f"peak_rss_mb {pair[side]['peak_rss_mb']:.1f} "
+                          f"run {pair[side]['elapsed_s']:.1f} s", file=sys.stderr)
                 pairs.append(pair)
             doc["workloads"][workload] = {"summary": summarize(pairs), "runs": pairs}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
