@@ -15,8 +15,9 @@ from random import Random
 import numpy as np
 
 from . import cyclic, ratlinalg as rl, weyl
-from .polycore import UniPoly, from_binomial_basis, to_binomial_basis
+from .polycore import trim
 from .progression import (
+    Progression,
     Relation,
     complexity_profile,
     complexity_report,
@@ -29,20 +30,17 @@ from .progression import (
 
 SEED = 20259
 
-Y = UniPoly((0, 1))
-Y2 = UniPoly((0, 0, 1))
-Y3 = UniPoly((0, 0, 0, 1))
-
-# The running examples: a homogeneous and an inhomogeneous progression that
-# differ only in the last term, and the five-term linear-relations-only one.
-HOM = progression(Y, Y * 2, Y3)                  # x, x+y, x+2y, x+y^3
-INH = progression(Y, Y * 2, Y2)                  # x, x+y, x+2y, x+y^2
-FIVE = progression(Y2, Y2 * 2, Y3, Y3 * 2)       # x, x+y^2, ..., x+2y^3
-DEGREE2_RELATION = Relation(qs=(
-    UniPoly((0, 2, 1)),      # u^2 + 2u
-    UniPoly((0, 0, -2)),     # -2u^2
-    UniPoly((0, 0, 1)),      # u^2
-    UniPoly((0, -2)),        # -2u
+# The running examples (monomial coefficients): a homogeneous and an
+# inhomogeneous progression that differ only in the last term, and the
+# five-term linear-relations-only one.
+HOM = progression((0, 1), (0, 2), (0, 0, 0, 1))                  # x, x+y, x+2y, x+y^3
+INH = progression((0, 1), (0, 2), (0, 0, 1))                     # x, x+y, x+2y, x+y^2
+FIVE = progression((0, 0, 1), (0, 0, 2), (0, 0, 0, 1), (0, 0, 0, 2))  # x, x+y^2, ..., x+2y^3
+DEGREE2_RELATION = Relation(qs=(     # binomial coordinates
+    (0, 3, 2),      # u^2 + 2u
+    (0, -2, -4),    # -2u^2
+    (0, 1, 2),      # u^2
+    (0, -2),        # -2u
 ))
 
 
@@ -85,9 +83,9 @@ def random_progressions(count, t_max, deg_max, rng: Random, structured=True):
     corpus = []
     if structured:
         for t in range(2, t_max + 1):
-            corpus.append(progression(*[Y * a for a in range(1, t + 1)]))
-        corpus.append(FIVE if t_max >= 4 else progression(Y2, Y2 * 2))
-        corpus.append(INH if t_max >= 3 else progression(Y, Y * 2))
+            corpus.append(progression(*[(0, a) for a in range(1, t + 1)]))
+        corpus.append(FIVE if t_max >= 4 else progression((0, 0, 1), (0, 0, 2)))
+        corpus.append(INH if t_max >= 3 else progression((0, 1), (0, 2)))
     while len(corpus) < count:
         t = rng.randint(2, t_max)
         polys, seen = [], set()
@@ -96,31 +94,31 @@ def random_progressions(count, t_max, deg_max, rng: Random, structured=True):
             coords = [0] + [rng.randint(-3, 3) for _ in range(d)]
             if not any(coords[1:]):
                 coords[-1] = 1
-            p = from_binomial_basis([Fraction(c) for c in coords])
-            if p.is_zero or p in seen:
+            p = trim(coords)
+            if not p or p in seen:
                 continue
             seen.add(p)
             polys.append(p)
         if len(polys) < 2:
             continue
-        corpus.append(progression(*polys))
+        corpus.append(Progression(tuple(polys)))
     return corpus[:count]
 
 
 def small_catalog_progressions():
     """Every progression with t <= 3 from a fixed degree <= 3 catalog."""
     from itertools import combinations
-    catalog = [
-        Y, Y * 2, Y * 3, Y * -1,
-        Y2, Y2 * 2, Y3,
-        Y + Y2, from_binomial_basis((0, 0, 1)),          # C(y,2)
-        from_binomial_basis((0, 0, 0, 1)),               # C(y,3)
-        Y2 + Y3,
+    catalog = [      # binomial coordinates
+        (0, 1), (0, 2), (0, 3), (0, -1),        # y, 2y, 3y, -y
+        (0, 1, 2), (0, 2, 4), (0, 1, 6, 6),     # y^2, 2y^2, y^3
+        (0, 2, 2), (0, 0, 1),                   # y + y^2, C(y,2)
+        (0, 0, 0, 1),                           # C(y,3)
+        (0, 2, 8, 6),                           # y^2 + y^3
     ]
     out = []
     for size in (1, 2, 3):
         for combo in combinations(catalog, size):
-            out.append(progression(*combo))
+            out.append(Progression(combo))
     return out
 
 
@@ -188,7 +186,7 @@ def criterion_3():
     if found < 100:
         return False, f"only {found} homogeneous progressions in {tried} draws"
     for t in (2, 3, 4):
-        ap = progression(*[Y * a for a in range(1, t + 1)])
+        ap = progression(*[(0, a) for a in range(1, t + 1)])
         vandermonde_bound_check(ap)
         prof, _ = complexity_profile(ap)
         if max(prof) != t - 1:
@@ -312,9 +310,7 @@ def criterion_10():
 def _relation_row(rel: Relation, t, cap):
     row = []
     for q in rel.qs:
-        bs = list(to_binomial_basis(q))
-        bs = bs + [Fraction(0)] * (cap + 1 - len(bs))
-        row.extend(bs[1:cap + 1])
+        row.extend((list(q) + [0] * (cap + 1 - len(q)))[1:])
     return row
 
 

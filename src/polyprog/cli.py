@@ -25,7 +25,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,13 +57,27 @@ class Config:
         with open(path) as fh:
             data = json.load(fh)
         cfg = cls()
+        types = {f.name: f.type for f in fields(cls)}
         for key, value in data.items():
-            if not hasattr(cfg, key):
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "n_schedule":
-                value = tuple(int(v) for v in value)
-            setattr(cfg, key, value)
+            if not _has_type(value, types[key]):
+                what = "a nonempty list of ints" if key == "n_schedule" else types[key]
+                raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+            setattr(cfg, key, tuple(value) if key == "n_schedule" else value)
         return cfg
+
+
+def _has_type(value, annotation):
+    """Whether a JSON value fits a Config field annotation: int, float, str,
+    tuple (a nonempty list of ints), or one of them | None."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return bool(optional)
+    if kind == "tuple":
+        return isinstance(value, list) and bool(value) and all(_has_type(v, "int") for v in value)
+    return not isinstance(value, bool) and \
+        isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def _apply_overrides(cfg: Config, args):
@@ -74,6 +88,8 @@ def _apply_overrides(cfg: Config, args):
             setattr(cfg, key, val)
     if getattr(args, "n_schedule", None):
         cfg.n_schedule = tuple(int(v) for v in args.n_schedule.split(","))
+    if cfg.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {cfg.threads}")
     return cfg
 
 

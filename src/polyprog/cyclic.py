@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import ratlinalg as rl
-from .polycore import UniPoly, from_binomial_basis, poly_text, to_binomial_basis
+from .polycore import poly_text, trim, value
 from .progression import Progression, Relation, complexity_profile, relation_space
 
 TWO_PI = 2.0 * np.pi
@@ -90,21 +89,10 @@ def read_subset(path, n):
     return mask
 
 
-def poly_shift_table(p: UniPoly, n: int):
-    """P(y) mod n for y = 0..n-1, via exact integer evaluation: Horner on
-    L*P mod n*L, L the lcm of the coefficient denominators."""
-    lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    scaled = [int(c * lcm) for c in reversed(p.coeffs)]
-    modulus = n * lcm
-    out = np.empty(n, dtype=np.int64)
-    for y in range(n):
-        val = 0
-        for c in scaled:
-            val = (val * y + c) % modulus
-        if val % lcm:
-            raise ValueError("shift polynomial must be integer valued")
-        out[y] = val // lcm
-    return out
+def poly_shift_table(p, n: int):
+    """P(y) mod n for y = 0..n-1, from the exact integer values of P (held
+    by its binomial coordinates)."""
+    return np.array([value(p, y) % n for y in range(n)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +331,10 @@ def integral_span_basis(prog: Progression):
     """Basis Q_1..Q_d of the group of integer combinations of the P_i, as
     the Hermite form of their binomial coordinate rows; the decomposition
     coefficients are integers by construction."""
-    width = max(len(to_binomial_basis(p)) for p in prog.polys)
-    rows = []
-    for p in prog.polys:
-        bs = to_binomial_basis(p)
-        rows.append([int(b) for b in bs] + [0] * (width - len(bs)))
+    width = prog.max_degree() + 1
+    rows = [list(p) + [0] * (width - len(p)) for p in prog.polys]
     lattice = rl.hnf_rows(rows)
-    basis = [from_binomial_basis([Fraction(v) for v in row]) for row in lattice]
+    basis = [trim(row) for row in lattice]
     coeffs = []
     for row in rows:
         combo = rl.solve_integer_combination(row, lattice)
@@ -372,7 +357,7 @@ def compare_poly_vs_linear(mask, prog: Progression, cap=None,
     if max(profile) > 1:
         space = relation_space(prog, cap or prog.default_cap())
         witness = next((r for r in space.basis
-                        if any(int(q.degree) > 1 for q in r.qs if not q.is_zero)), None)
+                        if any(len(q) > 2 for q in r.qs)), None)
         raise ComplexityTooHigh(profile, witness)
     basis, coeffs = integral_span_basis(prog)
     d = len(basis)
@@ -453,20 +438,15 @@ def build_obstruction(prog: Progression, rel: Relation, n: int, m: int):
         raise ValueError("phase multiplier must be nonzero mod N")
     if not rel.holds_for(prog):
         raise ValueError("relation does not hold for the progression")
-    lcm = math.lcm(*(b.denominator for q in rel.qs for b in to_binomial_basis(q)))
+    lcm = math.lcm(*(b.denominator for q in rel.qs for b in q))
     if math.gcd(lcm, n) != 1:
         raise ValueError(f"denominator lcm {lcm} shares a factor with N = {n}")
-    max_deg = max((int(q.degree) for q in rel.qs if not q.is_zero), default=0)
-    if max_deg >= n:
+    if max(len(q) for q in rel.qs) > n:
         raise ValueError("relation degree must be below N")
     signals = []
     for q in rel.qs:
-        scaled = q.scale(lcm)
-        phases = np.empty(n, dtype=np.float64)
-        for u in range(n):
-            v = scaled(u)
-            if v.denominator != 1:
-                raise AssertionError("L * Q_i must be integer valued on Z/NZ")
-            phases[u] = (m * (v.numerator % n)) % n
+        scaled = [b.numerator * (lcm // b.denominator) for b in q]
+        phases = np.array([(m * (value(scaled, u) % n)) % n for u in range(n)],
+                          dtype=np.float64)
         signals.append(Signal(np.exp(TWO_PI * 1j * phases / n)))
     return signals

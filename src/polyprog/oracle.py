@@ -2,16 +2,19 @@
 
 The relation solver in `progression` works in binomial coordinates via
 integer Vandermonde convolutions and a modular-prescan kernel.  The oracle
-here does none of that: unknowns are plain monomial coefficients,
-expansions use its own dict-based polynomial powers, and the kernel is a
-textbook reduced-row-echelon elimination over Fraction.  Agreement between
-the two is an end-to-end check of both (acceptance criterion and tests call
-it).  The other routes here are the ones the package replaced: q(x + P(y))
+here does none of that: polynomials are read into monomial coefficients by
+its own products of the factors (u - i)/(i + 1), unknowns are plain
+monomial coefficients, expansions use its own dict-based polynomial
+powers, and the kernel is a textbook reduced-row-echelon elimination over
+Fraction.  Agreement between the two is an end-to-end check of both
+(acceptance criterion and tests call it).  The other routes here are the ones the package replaced: q(x + P(y))
 and C(x + P(y), k) expanded into monomial cell maps from the powers of
 x + P(y), relation vectors from the Fraction system of those expanded
 shifted binomials, the relation re-check by expanding sum_i Q_i(x + P_i(y))
 (`progression` evaluates it on an integer grid), homogeneous relations
-from expansions of (x + P_i)^k, shared layer parts by intersecting row
+from expansions of (x + P_i)^k, reparametrized families by Horner
+substitution into the monomial coefficients (`progression` differences
+integer values), shared layer parts by intersecting row
 spaces, the Fraction RREF and the coordinates read off the RREF of
 [rows | I], and the linear-model count as the direct sum over all
 N^(d+1) points, where `cyclic` sums Fourier coefficients over a mod-N
@@ -25,9 +28,66 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polycore import UniPoly, binomial_poly, to_binomial_basis
-from .progression import Progression, Relation
+from .polycore import to_binomial_basis, trim
+from .progression import Progression, Relation, progression
 from .weyl import WeylSystem, _SCALE
+
+
+def _mul(a, b):
+    """Product of two monomial coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def monomial(bs):
+    """Monomial coefficients of sum_k b_k C(u, k), with C(u, k) expanded as
+    the product of the factors (u - i)/(i + 1), i < k (`polycore` runs
+    Horner's rule in the binomial basis, in integers)."""
+    out = [Fraction(0)] * len(bs)
+    binom = [Fraction(1)]
+    for k, b in enumerate(bs):
+        for i, c in enumerate(binom):
+            out[i] += b * c
+        binom = _mul(binom, [Fraction(-k, k + 1), Fraction(1, k + 1)])
+    return trim(out)
+
+
+def evaluate(coeffs, u):
+    """Horner evaluation of monomial coefficients at u."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def substitute_affine(coeffs, r: int, j: int):
+    """Monomial coefficients of (p(r*(y-1) + j) - p(j)) / r, by Horner
+    substitution of r*y + (j - r) into the monomial coefficients of p.
+
+    The output can carry a constant term, and for binomial-coefficient
+    inputs it need not be integer valued."""
+    if r < 1:
+        raise ValueError("substitution step r must be >= 1")
+    if not 0 <= j < r:
+        raise ValueError("substitution offset j must satisfy 0 <= j < r")
+    acc = [Fraction(0)]
+    for c in reversed(coeffs):
+        acc = _mul(acc, [Fraction(j - r), Fraction(r)])
+        acc[0] += c
+    acc[0] -= evaluate(coeffs, j)
+    return trim(c / r for c in acc)
+
+
+def reparametrized_family_by_substitution(prog: Progression, r: int, j: int):
+    """`progression.reparametrized_family` through monomial substitution:
+    constant terms dropped, the common denominator of the binomial
+    coordinates scaled away."""
+    subs = [(0,) + substitute_affine(monomial(p), r, j)[1:] for p in prog.polys]
+    den = math.lcm(*(b.denominator for q in subs for b in to_binomial_basis(q)))
+    return progression(*[[c * den for c in q] for q in subs])
 
 
 def _poly_mul(a, b):
@@ -52,19 +112,21 @@ def _shift_powers(p_coeffs, k):
     return powers
 
 
-def compose_shift(q: UniPoly, p: UniPoly):
-    """q(x + p(y)) as a monomial cell map: the powers of x + p(y) weighted
-    by the coefficients of q."""
+def compose_shift(q, p):
+    """q(x + p(y)) as a monomial cell map, for q and p given by binomial
+    coordinates: the powers of x + p(y) weighted by the monomial
+    coefficients of q."""
+    q = monomial(q)
     out = {}
-    for c, power in zip(q.coeffs, _shift_powers(p.coeffs, len(q.coeffs) - 1)):
+    for c, power in zip(q, _shift_powers(monomial(p), len(q) - 1)):
         for cell, v in power.items():
             out[cell] = out.get(cell, Fraction(0)) + c * v
     return {cell: v for cell, v in out.items() if v}
 
 
-def binom_of_shift(p: UniPoly, k: int):
+def binom_of_shift(p, k: int):
     """C(x + p(y), k) as a monomial cell map."""
-    return compose_shift(binomial_poly(k), p)
+    return compose_shift((0,) * k + (1,), p)
 
 
 def relation_holds_by_expansion(rel: Relation, prog: Progression):
@@ -169,7 +231,7 @@ def homogeneous_relations_by_expansion(prog: Progression, k: int):
     """Basis of {a : sum_i a_i (x + P_i(y))^k = 0} from expansions of the
     powers into cell maps and a textbook kernel (`progression` uses integer
     powers of the P_i)."""
-    grids = [_shift_powers(p.coeffs, k)[k] for p in prog.all_polys()]
+    grids = [_shift_powers(monomial(p), k)[k] for p in prog.all_polys()]
     columns = sorted({c for g in grids for c in g}, key=_cell_order)
     rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
     return [tuple(v) for v in _rref_kernel(rows, prog.t + 1)]
@@ -226,7 +288,7 @@ def relation_kernel_dense(prog: Progression, cap: int):
     rows (b_{ik} layout) for comparison with the main path."""
     t = prog.t
     unknowns = [(i, k) for i in range(t + 1) for k in range(1, cap + 1)]
-    powers = [_shift_powers(p.coeffs, cap) for p in prog.all_polys()]
+    powers = [_shift_powers(monomial(p), cap) for p in prog.all_polys()]
     expansions = [powers[i][k] for i, k in unknowns]
     cells = sorted({cell for exp in expansions for cell in exp})
     rows = []
@@ -239,7 +301,7 @@ def relation_kernel_dense(prog: Progression, cap: int):
         for i in range(t + 1):
             # monomial coefficients of Q_i ...
             mono = [Fraction(0)] + [vec[i * cap + (k - 1)] for k in range(1, cap + 1)]
-            bs = list(to_binomial_basis(UniPoly(mono)))
+            bs = list(to_binomial_basis(mono))
             bs = bs + [Fraction(0)] * (cap + 1 - len(bs))
             row.extend(bs[1:cap + 1])
         out.append(row)
@@ -249,14 +311,15 @@ def relation_kernel_dense(prog: Progression, cap: int):
 def count_by_enumeration(mask, prog: Progression):
     """E_{x,y} prod 1_A(x + P_i(y)) by a plain double loop."""
     n = len(mask)
+    monos = [monomial(p) for p in prog.polys]
     total = 0
     for x in range(n):
         for y in range(n):
             term = 1 if mask[x] else 0
             if not term:
                 continue
-            for p in prog.polys:
-                val = p(y)
+            for p in monos:
+                val = evaluate(p, y)
                 assert val.denominator == 1
                 if not mask[(x + val.numerator) % n]:
                     term = 0
@@ -269,11 +332,12 @@ def popdiff_by_enumeration(mask, prog: Progression, epsilon):
     """Qualifying set recomputed with an independent double loop."""
     n = len(mask)
     alpha = sum(1 for v in mask if v) / n
+    monos = [monomial(p) for p in prog.polys]
     qualifying = []
     for shift in range(n):
         vals = []
-        for p in prog.polys:
-            v = p(shift)
+        for p in monos:
+            v = evaluate(p, shift)
             assert v.denominator == 1
             vals.append(v.numerator % n)
         count = 0

@@ -29,40 +29,40 @@ and a `stabilized` flag (same result at cap and cap+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from . import ratlinalg as rl
 from .polycore import (
-    UniPoly,
+    NEG_INF,
     binom_int,
     cells_text,
     forward_differences,
-    from_binomial_basis,
-    is_integral,
+    monomial_coeffs,
     poly_text,
-    substitute_affine,
     to_binomial_basis,
+    trim,
+    value,
 )
 
 
 @dataclass(frozen=True)
 class Progression:
-    """The tuple (x, x+P_1(y), ..., x+P_t(y)); P_0 = 0 is implicit."""
+    """The tuple (x, x+P_1(y), ..., x+P_t(y)); P_0 = 0 is implicit.  Each
+    P_i is held by its binomial coordinates (see polycore)."""
 
     polys: tuple
 
     def __post_init__(self):
-        ps = tuple(self.polys)
+        ps = tuple(trim(p) for p in self.polys)
         object.__setattr__(self, "polys", ps)
         if not ps:
             raise ValueError("progression needs at least one polynomial")
         seen = set()
         for p in ps:
-            if p.is_zero:
+            if not p:
                 raise ValueError("progression polynomials must be nonzero")
-            if not is_integral(p):
+            if p[0] != 0 or not all(isinstance(b, int) for b in p):
                 raise ValueError(f"not integral: {poly_text(p)}")
             if p in seen:
                 raise ValueError(f"duplicate term: x + {poly_text(p)}")
@@ -74,10 +74,10 @@ class Progression:
 
     def all_polys(self):
         """P_0 = 0 followed by P_1..P_t."""
-        return (UniPoly.zero(),) + self.polys
+        return ((),) + self.polys
 
     def max_degree(self):
-        return max(int(p.degree) for p in self.polys)
+        return max(len(p) for p in self.polys) - 1
 
     def default_cap(self):
         """Heuristic relation-degree cap: max(t-1, max deg + t)."""
@@ -91,25 +91,21 @@ class Progression:
 
 
 def progression(*polys):
-    """Convenience constructor from coefficient sequences or UniPoly."""
-    ps = [p if isinstance(p, UniPoly) else UniPoly(p) for p in polys]
-    return Progression(tuple(ps))
+    """Convenience constructor from monomial coefficient sequences."""
+    return Progression(tuple(to_binomial_basis(p) for p in polys))
 
 
 @dataclass(frozen=True)
 class Relation:
-    """(Q_0, ..., Q_t) with sum Q_i(x + P_i(y)) = 0; constants normalized
-    to zero (forced once Q_i(0) = 0 for i >= 1, since all P_i(0) = 0)."""
+    """(Q_0, ..., Q_t) with sum Q_i(x + P_i(y)) = 0, each Q_i by its
+    binomial coordinates; constants normalized to zero (forced once
+    Q_i(0) = 0 for i >= 1, since all P_i(0) = 0)."""
 
     qs: tuple
 
     @property
     def degree_profile(self):
-        return tuple(q.degree for q in self.qs)
-
-    @property
-    def is_zero(self):
-        return all(q.is_zero for q in self.qs)
+        return tuple(len(q) - 1 if q else NEG_INF for q in self.qs)
 
     def holds_for(self, prog: Progression):
         """Exact re-check in integers, sharing nothing with the expansion
@@ -117,21 +113,13 @@ class Relation:
         has x-degree <= m = max deg Q_i and y-degree <= m * max deg P_i, so
         it is zero iff it vanishes on {0..m} x {0..m * max deg P_i}, where
         every C(x + P_i(y), k) is an integer."""
-        coords = [to_binomial_basis(q) for q in self.qs]
-        m = max(len(bs) for bs in coords) - 1
-        den = lcm(*(b.denominator for bs in coords for b in bs))
-        ints = [[b.numerator * (den // b.denominator) for b in bs] for bs in coords]
-        scale, scaled = _scaled_polys(prog)
+        m = max(len(q) for q in self.qs) - 1
+        den = lcm(*(b.denominator for q in self.qs for b in q))
+        ints = [[b.numerator * (den // b.denominator) for b in q] for q in self.qs]
         for y in range(m * prog.max_degree() + 1):
-            shifts = [sum(c * y ** e for e, c in enumerate(q)) // scale for q in scaled]
+            shifts = [value(p, y) for p in prog.all_polys()]
             for x in range(m + 1):
-                total = 0
-                for bs, shift in zip(ints, shifts):
-                    binom = 1       # C(n, k) for n = x + P_i(y), k = 0, 1, ...
-                    for k, b in enumerate(bs):
-                        total += b * binom
-                        binom = binom * (x + shift - k) // (k + 1)
-                if total:
+                if sum(value(q, x + shift) for q, shift in zip(ints, shifts)):
                     return False
         return True
 
@@ -173,6 +161,28 @@ def exact_layer_cost(prog: Progression, cap: int):
     return (prog.t + 1) * cap * cells
 
 
+# Refusal threshold for the eligibility sweep, in families times the exact
+# layer cost of one family (a family has the progression's t and degrees):
+# ten families at the exact layer budget, so the default r_max = 4 refuses
+# nothing the exact layer accepts.  On a 2-vCPU machine the report took 2.6 s
+# on x, x+y^20 (1.9e6 at r_max 4) and 5.5 s on the five-term example at
+# r_max 38 (2.4e6).
+ELIGIBILITY_BUDGET = 10 * EXACT_LAYER_BUDGET
+
+
+def check_eligibility_cost(prog: Progression, cap: int, r_max: int):
+    """Refuse, before any exact work, an r_max below 1 or an eligibility
+    sweep over r_max(r_max+1)/2 families above ELIGIBILITY_BUDGET (unless
+    the exact layer refuses the progression itself)."""
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    cost = r_max * (r_max + 1) // 2 * exact_layer_cost(prog, cap)
+    if cost > ELIGIBILITY_BUDGET and exact_layer_cost(prog, cap + 1) <= EXACT_LAYER_BUDGET:
+        raise ExactLayerBudgetExceeded(
+            f"eligibility cost {cost} for r_max {r_max} exceeds ELIGIBILITY_BUDGET "
+            f"{ELIGIBILITY_BUDGET} (families x exact layer cost)")
+
+
 def _convolve(a, b):
     """Product of two integer coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -183,11 +193,15 @@ def _convolve(a, b):
     return out
 
 
+@lru_cache(maxsize=256)
 def _scaled_polys(prog: Progression):
-    """(L, [L*P_0, ..., L*P_t]) as integer coefficient lists, where L is the
-    lcm of the monomial denominators of all P_i (P_0 = 0 gives [0])."""
-    den = lcm(*(c.denominator for p in prog.polys for c in p.coeffs))
-    return den, [[0]] + [[int(c * den) for c in p.coeffs] for p in prog.polys]
+    """(L, (L*P_0, ..., L*P_t)) with integer monomial coefficient tuples,
+    where L is the lcm of the monomial denominators of all P_i (P_0 = 0
+    gives (0,))."""
+    monos = [monomial_coeffs(p) for p in prog.polys]
+    den = lcm(*(c.denominator for m in monos for c in m))
+    return den, ((0,), *(tuple(c.numerator * (den // c.denominator) for c in m)
+                         for m in monos))
 
 
 @lru_cache(maxsize=256)
@@ -218,7 +232,7 @@ def _expansions(prog: Progression, cap: int):
     for i, q in enumerate(scaled):
         numer = [[1]]
         for j in range(1, cap + 1):
-            numer.append(_convolve(numer[-1], [q[0] - (j - 1) * scale] + q[1:]))
+            numer.append(_convolve(numer[-1], [q[0] - (j - 1) * scale, *q[1:]]))
         for k in range(1, cap + 1):
             grid = [[0] * len(numer[k]) for _ in range(k + 1)]
             for j in range(k + 1):
@@ -296,11 +310,8 @@ def _relation_vectors(prog: Progression, cap: int):
 
 
 def _relation_from_vector(prog: Progression, cap: int, vec):
-    qs = []
-    for i in range(prog.t + 1):
-        bs = (Fraction(0),) + tuple(vec[i * cap + (k - 1)] for k in range(1, cap + 1))
-        qs.append(from_binomial_basis(bs))
-    return Relation(qs=tuple(qs))
+    return Relation(qs=tuple(trim((0, *vec[i * cap:(i + 1) * cap]))
+                             for i in range(prog.t + 1)))
 
 
 def homogeneous_relations(prog: Progression, k: int):
@@ -330,10 +341,8 @@ def _binomial_rows(prog: Progression, k: int):
     """Rows ([C(y,b)] C(P_0(y), m), ..., [C(y,b)] C(P_t(y), m)) for
     m = 0..k, all b: binomial coordinates are forward differences at 0 of
     the integer values C(P_i(y), m), y = 0..m * max deg."""
-    scale, scaled = _scaled_polys(prog)
     points = k * prog.max_degree() + 1
-    values = [[sum(c * y ** e for e, c in enumerate(q)) // scale for y in range(points)]
-              for q in scaled]
+    values = [[value(p, y) for y in range(points)] for p in prog.all_polys()]
     rows = []
     for m in range(k + 1):
         diffs = [forward_differences([binom_int(n, m)
@@ -404,7 +413,7 @@ def vandermonde_bound_check(prog: Progression, cap: int | None = None):
         return True
     space = relation_space(prog, cap)
     witness = next((r for r in space.basis
-                    if any(int(q.degree) > prog.t - 1 for q in r.qs if not q.is_zero)),
+                    if any(len(q) > prog.t for q in r.qs)),
                    None)
     raise VandermondeViolation(prog, prof, witness)
 
@@ -618,14 +627,18 @@ def reparametrized_family(prog: Progression, r: int, j: int) -> Progression:
     """The progression built from (P_i(r(y-1)+j) - P_i(j)) / r, normalized
     to an integral progression.
 
-    Normalization: constant terms are dropped and a common denominator is
-    scaled away.  Both steps preserve homogeneity and the complexity profile
-    (constant shifts substitute into the relation polynomials; a common
-    integer scaling u -> L u reparametrizes x exactly)."""
-    subs = [substitute_affine(p, r, j) for p in prog.polys]
-    subs = [q - UniPoly([q(0)]) for q in subs]
-    den = lcm(*(b.denominator for q in subs for b in to_binomial_basis(q)))
-    return Progression(tuple(q.scale(den) for q in subs))
+    The binomial coordinates of r times that polynomial are the forward
+    differences of its integer values at y = 0..deg P_i.  Normalization:
+    constant terms (b_0) are dropped and the common denominator of the
+    coordinates over r is scaled away.  Both steps preserve homogeneity and
+    the complexity profile (constant shifts substitute into the relation
+    polynomials; a common integer scaling u -> L u reparametrizes x
+    exactly)."""
+    diffs = [[0] + forward_differences([value(p, r * (y - 1) + j) - value(p, j)
+                                        for y in range(len(p))])[1:]
+             for p in prog.polys]
+    den = lcm(*(r // gcd(r, b) for bs in diffs for b in bs))
+    return Progression(tuple(tuple(b * den // r for b in bs) for bs in diffs))
 
 
 @dataclass(frozen=True)
@@ -639,9 +652,11 @@ class EligibilityReport:
 
 def is_eligible(prog: Progression, r_max: int = 6, cap: int | None = None):
     """Homogeneity and complexity profile stable under all reparametrizations
-    y -> r(y-1)+j with r <= r_max; certifies up to r_max only."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    y -> r(y-1)+j with r <= r_max; certifies up to r_max only.  A family has
+    the progression's t and degrees, and so its default cap."""
+    if cap is None:
+        cap = prog.default_cap()
+    check_eligibility_cost(prog, cap, r_max)
     homog, _ = is_homogeneous(prog, cap)
     if not homog:
         raise ValueError("eligibility is defined for homogeneous progressions")
@@ -650,19 +665,15 @@ def is_eligible(prog: Progression, r_max: int = 6, cap: int | None = None):
     for r in range(1, r_max + 1):
         for j in range(r):
             fam = reparametrized_family(prog, r, j)
-            sub_homog, _ = is_homogeneous(fam, cap)
-            if not sub_homog:
-                return EligibilityReport(False, r_max, cap or prog.default_cap(),
-                                         (r, j, "inhomogeneous"), checked)
+            if not is_homogeneous(fam, cap)[0]:
+                return EligibilityReport(False, r_max, cap, (r, j, "inhomogeneous"), checked)
             # profile at cap only; complexity_profile's cap+1 pass is not needed
-            fam_cap = cap or fam.default_cap()
-            prof = _profile_from_vectors(_relation_vectors(fam, fam_cap), fam.t, fam_cap)
+            prof = _profile_from_vectors(_relation_vectors(fam, cap), fam.t, cap)
             if prof != base_profile:
-                return EligibilityReport(False, r_max, cap or prog.default_cap(),
-                                         (r, j, f"profile {prof} != {base_profile}"),
-                                         checked)
+                return EligibilityReport(False, r_max, cap,
+                                         (r, j, f"profile {prof} != {base_profile}"), checked)
             checked += 1
-    return EligibilityReport(True, r_max, cap or prog.default_cap(), None, checked)
+    return EligibilityReport(True, r_max, cap, None, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +684,7 @@ def complexity_report(prog: Progression, cap: int | None = None,
     """One serializable document with everything the classification knows."""
     if cap is None:
         cap = prog.default_cap()
+    check_eligibility_cost(prog, cap, eligibility_r_max)
     space = relation_space(prog, cap)
     prof, prof_stable = complexity_profile(prog, cap)
     homog = homogeneity_report(prog, cap)

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import ratlinalg as rl
-from .polycore import binom_int, binomial_grid, to_binomial_basis
+from .polycore import binom_int, binomial_grid, value
 from .progression import (Progression, Relation, graded_spaces, _component_vectors,
-                          _layer_rows, _row_cells, _scaled_polys)
+                          _layer_rows, _row_cells)
 
 FRAC_BITS = 256
 _SCALE = 1 << FRAC_BITS
@@ -217,11 +218,10 @@ def lower_bound_witness(prog: Progression, rel: Relation, alpha: Irrational,
     s = w.order
     rows = []
     for q in rel.qs:
-        bs = list(to_binomial_basis(q))
-        if len(bs) > s + 1:
+        if len(q) > s + 1:
             raise ValueError(
-                f"relation degree {len(bs) - 1} exceeds system order {s}")
-        bs = bs + [Fraction(0)] * (s + 1 - len(bs))
+                f"relation degree {len(q) - 1} exceeds system order {s}")
+        bs = list(q) + [Fraction(0)] * (s + 1 - len(q))
         if bs[0] != 0:
             raise ValueError("relation components must vanish at 0")
         rows.append(bs[1:])
@@ -234,7 +234,7 @@ def lower_bound_witness(prog: Progression, rel: Relation, alpha: Irrational,
         y = int(rng.integers(0, 10 ** 4))
         prod = 1.0 + 0j
         for row, p in zip(rows, polys):
-            u = int(x + p(y))
+            u = x + value(p, y)
             lift = orbit_lift(w, u)
             comb = Fraction(0)
             for b, coord in zip(row, lift):
@@ -481,18 +481,16 @@ def _orbit_tail_tables(w: WeylSystem, prog: Progression, n: int):
     the coordinate of the orbit tuple splits as
     coord(l, c)(x, y) = sum_kappa C(x, kappa) * tail_{kappa,l}(P_c(y)).
 
-    P_c(y) is evaluated exactly from the L-scaled integer coefficients."""
+    P_c(y) is evaluated exactly from its binomial coordinates."""
     s = w.order
     gens = w.gens_fp()
     base = [_coeff_fp(b) for b in w.base]
-    scale, scaled = _scaled_polys(prog)
-    tails = np.zeros((s + 1, s, len(scaled), n))
-    for c, q in enumerate(scaled):
+    polys = prog.all_polys()
+    tails = np.zeros((s + 1, s, len(polys), n))
+    for c, p in enumerate(polys):
         for y in range(n):
-            u = 0
-            for coeff in reversed(q):
-                u = u * y + coeff
-            binoms = [binom_int(u // scale, d) for d in range(s + 1)]
+            u = value(p, y)
+            binoms = [binom_int(u, d) for d in range(s + 1)]
             for kappa in range(s + 1):
                 for l in range(s):
                     acc = base[l] if kappa == 0 else 0
@@ -609,9 +607,10 @@ def character_average(tails, characters, threads: int = 1):
     x, W comes off the difference ladder (_coordinate_blocks), each tail row
     is one elementwise multiply of a shorter one by W_k or its conjugate,
     and W . T^T (one complex GEMM) is added into a D x tails accumulator.
-    Worker threads (numpy releases the GIL on the multiplies and the GEMM)
-    take whole blocks, and the partial sums are added in block order, so
-    the averages are the same for any thread count."""
+    Worker threads, min(threads, os.cpu_count()) of them (numpy releases
+    the GIL on the multiplies and the GEMM), take whole blocks, and the
+    partial sums are added in block order, so the averages are the same for
+    any thread count."""
     ntails, steps, reads = _tail_plan(characters)
     n = tails.shape[-1]
     if not ntails:
@@ -627,10 +626,11 @@ def character_average(tails, characters, threads: int = 1):
 
     blocks = _coordinate_blocks(tails)
     acc = np.zeros((tails.shape[1] * tails.shape[2], ntails), dtype=np.complex128)
-    if threads > 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while wave := list(itertools.islice(blocks, threads)):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            while wave := list(itertools.islice(blocks, workers)):
                 for part in pool.map(block_sums, wave):
                     acc += part
     else:

@@ -301,12 +301,69 @@ def test_analyze_refuses_exact_layer_above_budget(capsys):
 
 def test_analyze_refuses_high_degree_binomial_atom_quickly(capsys):
     import time
-    from polyprog.polycore import binomial_poly
-    binomial_poly.cache_clear()
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", "x, x+C(y,400)")
     assert time.perf_counter() - start < 2.0
     assert code == 2 and not out and "exceeds budget" in err
+
+
+def test_analyze_refuses_atom_degree_above_ceiling(capsys):
+    import time
+    from polyprog.parser import MAX_ATOM_DEGREE
+    for text in ("x, x+y^2000", f"x, x+y, x+C(y,{MAX_ATOM_DEGREE + 1})"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert f"exceeds MAX_ATOM_DEGREE {MAX_ATOM_DEGREE}" in err
+
+
+def test_analyze_refuses_rmax_below_one(capsys):
+    # for every progression, the inhomogeneous one (no eligibility sweep) too
+    for text in ("x, x+y, x+2y, x+y^2", "x, x+y, x+2y, x+y^3"):
+        for r_max in ("0", "-5"):
+            code, out, err = run_cli(capsys, "analyze", text, "--rmax", r_max)
+            assert code == 2 and not out and "r_max must be >= 1" in err
+
+
+def test_analyze_refuses_eligibility_above_budget(capsys):
+    import time
+    from polyprog.progression import ELIGIBILITY_BUDGET
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "x, x+y^2, x+2y^2, x+y^3, x+2y^3",
+                             "--rmax", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert f"eligibility cost 2640400 for r_max 40 exceeds ELIGIBILITY_BUDGET " \
+        f"{ELIGIBILITY_BUDGET}" in err
+    # the default r_max admits every progression the exact layer admits
+    code, out, _ = run_cli(capsys, "analyze", "x, x+y^2, x+2y^2, x+y^3, x+2y^3",
+                           "--rmax", "4")
+    assert code == 0 and json.loads(out)["eligible_upto_4"] is True
+
+
+def test_threads_below_one_refused(tmp_path, capsys):
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "analyze", "x, x+y", "--threads", value)
+        assert code == 2 and not out and "--threads must be >= 1" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "analyze", "x, x+y")
+    assert code == 2 and not out and "--threads must be >= 1" in err
+
+
+def test_config_values_checked_against_field_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc, key in (({"r_max": "4"}, "r_max"), ({"cap": 2.5}, "cap"),
+                     ({"n_schedule": [101, "211"]}, "n_schedule"),
+                     ({"threads": True}, "threads"), ({"out_dir": 3}, "out_dir")):
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "analyze", "x, x+y")
+        assert code == 2 and not out
+        assert f"config key {key!r} must be" in err and "Traceback" not in err
+    cfg.write_text(json.dumps({"cap": None, "alpha": 1, "n_schedule": [101]}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "analyze", "x, x+y")
+    assert code == 0 and json.loads(out)["cap"] == 2
 
 
 def test_division_by_zero_is_bad_input(capsys):

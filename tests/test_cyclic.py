@@ -19,17 +19,15 @@ from polyprog.cyclic import (
     linear_count_operator,
     popular_differences,
 )
-from polyprog.polycore import UniPoly
+from polyprog.polycore import to_binomial_basis, trim
 from polyprog.progression import Relation, progression
 
-Y = UniPoly((0, 1))
-Y2 = UniPoly((0, 0, 1))
-Y3 = UniPoly((0, 0, 0, 1))
-AP3 = progression(Y, Y * 2)
-INH = progression(Y, Y * 2, Y2)
-FIVE = progression(Y2, Y2 * 2, Y3, Y3 * 2)
-DEGREE2 = Relation(qs=(UniPoly((0, 2, 1)), UniPoly((0, 0, -2)),
-                       UniPoly((0, 0, 1)), UniPoly((0, -2))))
+# monomial coefficients
+AP3 = progression((0, 1), (0, 2))
+INH = progression((0, 1), (0, 2), (0, 0, 1))
+FIVE = progression((0, 0, 1), (0, 0, 2), (0, 0, 0, 1), (0, 0, 0, 2))
+DEGREE2 = Relation(qs=tuple(to_binomial_basis(q) for q in
+                            ((0, 2, 1), (0, 0, -2), (0, 0, 1), (0, -2))))
 
 RNG = np.random.default_rng(20259)
 
@@ -212,10 +210,22 @@ def test_integral_span_basis_decomposes():
     assert len(basis) == 2
     # P_i = sum_j a_ij Q_j with integer a
     for p, row in zip(FIVE.polys, coeffs):
-        rebuilt = UniPoly.zero()
+        rebuilt = ()
         for a, q in zip(row, basis):
-            rebuilt = rebuilt + q * a
+            rebuilt = trim(r + a * b for r, b in itertools.zip_longest(rebuilt, q, fillvalue=0))
         assert rebuilt == p
+
+
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=100, deadline=None)
+def test_poly_shift_table_matches_monomial_evaluation(coords, n):
+    # integer values from binomial coordinates against the oracle's Horner
+    # on the monomial coefficients
+    p = trim((0, *coords))
+    mono = oracle.monomial(p)
+    assert cyclic.poly_shift_table(p, n).tolist() == \
+        [int(oracle.evaluate(mono, y)) % n for y in range(n)]
 
 
 def test_popular_differences_full_set():
@@ -263,14 +273,14 @@ def test_build_obstruction_product_identity_pointwise():
 
 
 def test_build_obstruction_zero_relation():
-    zero_rel = Relation(qs=(UniPoly.zero(),) * 4)
+    zero_rel = Relation(qs=((),) * 4)
     signals = build_obstruction(INH, zero_rel, 101, 1)
     for sig in signals:
         assert np.allclose(sig.values, 1.0)
 
 
 def test_build_obstruction_linear_characters():
-    rel = Relation(qs=(UniPoly((0, 1)), UniPoly((0, -2)), UniPoly((0, 1))))
+    rel = Relation(qs=((0, 1), (0, -2), (0, 1)))
     signals = build_obstruction(AP3, rel, 101, 1)
     assert abs(count_operator(signals, AP3) - 1.0) < 1e-9
     for sig in signals:
@@ -278,8 +288,7 @@ def test_build_obstruction_linear_characters():
 
 
 def test_build_obstruction_gcd_guard():
-    half = Relation(qs=(UniPoly((0, Fraction(1, 2))),
-                        UniPoly((0, -1)), UniPoly((0, Fraction(1, 2)))))
+    half = Relation(qs=((0, Fraction(1, 2)), (0, -1), (0, Fraction(1, 2))))
     with pytest.raises(ValueError):
         build_obstruction(AP3, half, 2, 1)
 

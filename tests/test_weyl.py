@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyprog import oracle, ratlinalg as rl, weyl
-from polyprog.polycore import UniPoly, binom_int
+from polyprog.polycore import binom_int, to_binomial_basis
 from polyprog.progression import Relation, progression
 from polyprog.weyl import (
     Irrational,
@@ -19,13 +19,11 @@ from polyprog.weyl import (
     orbit_lift,
 )
 
-Y = UniPoly((0, 1))
-Y2 = UniPoly((0, 0, 1))
-Y3 = UniPoly((0, 0, 0, 1))
-INH = progression(Y, Y * 2, Y2)
-HOM = progression(Y, Y * 2, Y3)
-DEGREE2 = Relation(qs=(UniPoly((0, 2, 1)), UniPoly((0, 0, -2)),
-                       UniPoly((0, 0, 1)), UniPoly((0, -2))))
+# monomial coefficients
+INH = progression((0, 1), (0, 2), (0, 0, 1))
+HOM = progression((0, 1), (0, 2), (0, 0, 0, 1))
+DEGREE2 = Relation(qs=tuple(to_binomial_basis(q) for q in
+                            ((0, 2, 1), (0, 0, -2), (0, 0, 1), (0, -2))))
 
 SQRT2 = Irrational("sqrt2")
 STD2 = WeylSystem.standard(2, SQRT2, (Irrational("sqrt3"), Irrational("sqrt5")))
@@ -98,15 +96,15 @@ def test_lower_bound_witness_degree_two_relation():
 
 def test_lower_bound_witness_ap_on_rotation():
     w1 = WeylSystem.standard(1, SQRT2, (Irrational("sqrt3"),))
-    rel = Relation(qs=(UniPoly((0, 1)), UniPoly((0, -2)), UniPoly((0, 1))))
-    record = lower_bound_witness(progression(Y, Y * 2), rel,
+    rel = Relation(qs=((0, 1), (0, -2), (0, 1)))
+    record = lower_bound_witness(progression((0, 1), (0, 2)), rel,
                                  Irrational("sqrt5"), w1, samples=300, seed=1)
     assert record.product_max_deviation < 1e-9
     assert record.projection_killed == [True, True, True]
 
 
 def test_lower_bound_witness_zero_relation():
-    zero = Relation(qs=(UniPoly.zero(),) * 4)
+    zero = Relation(qs=((),) * 4)
     record = lower_bound_witness(INH, zero, SQRT2, STD2, samples=50, seed=2)
     assert record.product_max_deviation < 1e-12
     assert record.projection_killed == [False] * 4
@@ -199,6 +197,38 @@ def test_equidistribution_classification_and_constants():
             assert row.magnitude < 0.9
 
 
+def test_character_average_pool_capped_by_cpu_count(monkeypatch):
+    # a fake executor records the pool size and maps in the calling thread,
+    # so no worker thread starts
+    import concurrent.futures
+    sizes = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    tails = weyl._orbit_tail_tables(STD2, HOM, 40)
+    chars = weyl.enumerate_characters(8, 1)
+    serial = weyl.character_average(tails, chars)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(weyl.os, "cpu_count", lambda: 3)
+    assert weyl.character_average(tails, chars, threads=10 ** 6) == serial
+    assert weyl.character_average(tails, chars, threads=2) == serial
+    assert sizes == [3, 2]
+    monkeypatch.setattr(weyl.os, "cpu_count", lambda: 1)
+    assert weyl.character_average(tails, chars, threads=8) == serial
+    assert sizes == [3, 2]      # one worker: no pool
+
+
 def test_equidistribution_threads_deterministic():
     # at least three blocks of the plane for the two threads to share
     closure = closure_subspaces(HOM, STD2)
@@ -228,8 +258,9 @@ def _exact_character_averages(system, prog, n, characters):
     lifts = {}
     coords = np.empty((system.order * (prog.t + 1), n, n), dtype=object)
     for c, p in enumerate(prog.all_polys()):
+        mono = oracle.monomial(p)
         for y in range(n):
-            py = int(p(y))
+            py = int(oracle.evaluate(mono, y))
             for x in range(n):
                 if x + py not in lifts:
                     lifts[x + py] = orbit_lift(system, x + py)
@@ -359,7 +390,7 @@ def test_character_average_matches_direct_orbit_evaluation():
         for y in range(n):
             phase_fp = 0
             for c, p in enumerate(INH.all_polys()):
-                lift = orbit_lift(system, x + int(p(y)))
+                lift = orbit_lift(system, x + int(oracle.evaluate(oracle.monomial(p), y)))
                 for l in (0, 1):
                     phase_fp += freqs[l * 4 + c] * lift[l]
             phase = (phase_fp % weyl._SCALE) / weyl._SCALE
