@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -90,11 +91,19 @@ def _apply_overrides(cfg: Config, args):
         cfg.n_schedule = tuple(int(v) for v in args.n_schedule.split(","))
     if cfg.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {cfg.threads}")
+    for key in ("alpha", "epsilon", "decay_threshold"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {getattr(cfg, key)}")
+    if cfg.epsilon <= 0:
+        raise ValueError(f"--epsilon must be > 0, got {cfg.epsilon}")
     return cfg
 
 
 def _emit(doc, cfg: Config, name: str):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:     # a NaN or infinity: checked input cannot give one
+        raise AssertionError(f"{name} report is not JSON: {exc}") from None
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -233,12 +242,21 @@ def _atom_from_text(text):
 def load_scenario(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario {path}: the top level must be a JSON object")
     if "dependencies" in data:
         raise ValueError("scenario key 'dependencies' is not supported; declare a "
                          "rational dependence by a shared symbol with an offset, "
                          "e.g. \"sqrt2+1/3\" in place of a separate symbol")
-    order = int(data["order"])
-    if data.get("system", "standard") == "generators":
+    generators = data.get("system", "standard") == "generators"
+    for key in ("order", "progression", *(["generators"] if generators else ["rotation", "base"])):
+        if key not in data:
+            raise ValueError(f"scenario {path}: missing key {key!r}")
+    for key, kind in {"order": "int", "progression": "str", "N": "int", "radius": "int"}.items():
+        if key in data and not _has_type(data[key], kind):
+            raise ValueError(f"scenario key {key!r} must be {kind}, got {data[key]!r}")
+    order = data["order"]
+    if generators:
         gens = [tuple(_atom_from_text(v) for v in vec)
                 for vec in data["generators"]]
         base = tuple(_atom_from_text(v) for v in data.get("base", ["0"] * order))
@@ -253,9 +271,9 @@ def load_scenario(path):
 
 def cmd_weyl(cfg: Config, args):
     system, expr, raw = load_scenario(args.scenario)
-    n = _check_modulus(int(raw.get("N", cfg.n_weyl)) if args.N is None else args.N)
+    n = _check_modulus(raw.get("N", cfg.n_weyl) if args.N is None else args.N)
     # flag, then scenario, then config (cfg.radius also holds the flag)
-    radius = args.radius if args.radius is not None else int(raw.get("radius", cfg.radius))
+    radius = args.radius if args.radius is not None else raw.get("radius", cfg.radius)
     prog = expr.progression
     weyl.check_sweep_cost(system, prog, n, radius)
     closure = weyl.closure_subspaces(prog, system, cap=cfg.cap)
@@ -356,7 +374,7 @@ def main(argv=None):
         # and the flush at exit, to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:   # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:

@@ -5,10 +5,11 @@ integer Vandermonde convolutions and a modular-prescan kernel.  The oracle
 here does none of that: polynomials are read into monomial coefficients by
 its own products of the factors (u - i)/(i + 1), unknowns are plain
 monomial coefficients, expansions use its own dict-based polynomial
-powers, and the kernel is a textbook reduced-row-echelon elimination over
-Fraction.  Agreement between the two is an end-to-end check of both
-(acceptance criterion and tests call it).  The other routes here are the ones the package replaced: q(x + P(y))
-and C(x + P(y), k) expanded into monomial cell maps from the powers of
+powers, and the kernel is read off a plain Gauss-Jordan elimination of the
+rows scaled to integers (no prime, no Bareiss).  Agreement between the two
+is an end-to-end check of both (acceptance criterion and tests call it).
+The other routes here are the ones the package replaced: q(x + P(y)) and
+C(x + P(y), k) expanded into monomial cell maps from the powers of
 x + P(y), relation vectors from the Fraction system of those expanded
 shifted binomials, the relation re-check by expanding sum_i Q_i(x + P_i(y))
 (`progression` evaluates it on an integer grid), homogeneous relations
@@ -190,9 +191,8 @@ def coordinates_by_fractions(targets, rows):
 
 def primitive_integer_row(row):
     """Scale a rational vector to coprime integers with positive lead."""
-    row = [Fraction(x) for x in row]
-    den = math.lcm(*(f.denominator for f in row))
-    ints = [int(f * den) for f in row]
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
     g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
@@ -209,15 +209,29 @@ def canonical_basis_by_fractions(rows):
 
 
 def _rref_kernel(rows, ncols):
-    """Kernel basis read off the textbook RREF (the slow route)."""
-    red, pivots = rref_by_fractions(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Kernel basis read off the reduced row echelon form, 1 at each free
+    column: primitive integer rows reduced Gauss-Jordan style by cross-
+    multiplication, so the row of pivot c is the RREF row times its c entry."""
+    mat = [primitive_integer_row(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        k = next((i for i in range(len(pivots), len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        r = len(pivots)
+        mat[r], mat[k] = mat[k], mat[r]
+        p = mat[r][c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = primitive_integer_row([p * a - f * b for a, b in zip(row, mat[r])])
+        pivots.append(c)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
+        for row, pc in zip(mat, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -291,9 +305,7 @@ def relation_kernel_dense(prog: Progression, cap: int):
     powers = [_shift_powers(monomial(p), cap) for p in prog.all_polys()]
     expansions = [powers[i][k] for i, k in unknowns]
     cells = sorted({cell for exp in expansions for cell in exp})
-    rows = []
-    for cell in cells:
-        rows.append([exp.get(cell, Fraction(0)) for exp in expansions])
+    rows = [[exp.get(cell, 0) for exp in expansions] for cell in cells]
     kernel = _rref_kernel(rows, len(unknowns))
     out = []
     for vec in kernel:

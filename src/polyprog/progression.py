@@ -29,6 +29,7 @@ and a `stabilized` flag (same result at cap and cap+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
@@ -315,13 +316,46 @@ def _relation_from_vector(prog: Progression, cap: int, vec):
 
 
 def homogeneous_relations(prog: Progression, k: int):
-    """Basis of {a in Q^{t+1} : sum_i a_i (x + P_i(y))^k = 0}.
+    """Basis of K_k = {a in Q^{t+1} : sum_i a_i (x + P_i(y))^k = 0}, in the
+    reduced form of `kernel_basis` (1 at its free column, 0 at the others).
 
-    The x^a y^b coefficient of (x + P)^k is C(k, a) [y^b] P^(k-a), so the
-    equations are the power rows sum_i a_i [y^b] P_i^m = 0, m = 0..k."""
+    The x^a y^b coefficient of (x + P)^k is C(k, a) [y^b] P^(k-a), so K_k is
+    cut out by the power rows sum_i a_i [y^b] P_i^m = 0, m = 0..k, and lies in
+    K_{k-1}.  One cached computation per progression carries the kernel from
+    degree to degree and stops at the first empty one, k = t at the latest."""
     if k < 1:
         raise ValueError("degree must be >= 1")
-    return [tuple(v) for v in rl.kernel_basis(_power_rows(prog, k), ncols=prog.t + 1)]
+    kernels = _homogeneous_kernels(prog)
+    return list(kernels[k - 1]) if k <= len(kernels) else []
+
+
+@lru_cache(maxsize=512)
+def _homogeneous_kernels(prog: Progression):
+    """(K_1, ..., K_e) up to the first empty K_e, with one running product
+    (L P_i)^m per term.  K_0 (the row of ones at m = 0) has the basis
+    e_i - e_0; K_m is the kernel of the new block [y^b] (L P_i)^m on integer
+    multiples w_j of the basis of K_{m-1}.  A reduced vector has 0 at the
+    other free columns and nothing right of its own, so the free columns of
+    K_m are those of that small kernel, and each sum_j c_j w_j over its last
+    nonzero entry is reduced.  Distinct P_i leave nothing at degree t."""
+    _, scaled = _scaled_polys(prog)
+    n = prog.t + 1
+    basis = [(-1,) + tuple(int(i == j) for i in range(1, n)) for j in range(1, n)]
+    powers = [[1]] * n
+    kernels = []
+    for _ in range(prog.t):
+        powers = [_convolve(pw, q) for pw, q in zip(powers, scaled)]
+        rows = [[sum(w[i] * pw[b] for i, pw in enumerate(powers) if w[i] and b < len(pw))
+                 for w in basis] for b in range(max(map(len, powers)))]
+        combos = [rl._as_int_row(c)[0] for c in rl.kernel_basis(rows, ncols=len(basis))]
+        basis = [tuple(sum(a * w[i] for a, w in zip(cs, basis) if a) for i in range(n))
+                 for cs in combos]
+        kernels.append(tuple(tuple(Fraction(x, next(y for y in reversed(w) if y)) for x in w)
+                             for w in basis))
+        if not basis:
+            return tuple(kernels)
+    raise AssertionError(f"Vandermonde bound: {prog.text()} has homogeneous relations "
+                         f"of degree t = {prog.t}")
 
 
 def _power_rows(prog: Progression, k: int):
@@ -353,13 +387,9 @@ def _binomial_rows(prog: Progression, k: int):
 
 
 def homogeneous_relation_dims(prog: Progression, cap: int):
-    return [_homogeneous_dim(prog, k) for k in range(1, cap + 1)]
-
-
-@lru_cache(maxsize=512)
-def _homogeneous_dim(prog: Progression, k: int):
-    # Per degree, so the cap and cap+1 decisions of one report share work.
-    return len(homogeneous_relations(prog, k))
+    """dim K_k, k = 1..cap, read off the kernels carried from degree to
+    degree: 0 from the first empty one on (k = t at the latest)."""
+    return [len(homogeneous_relations(prog, k)) for k in range(1, cap + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -398,3 +398,76 @@ def test_closed_stdout_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+STANDARD = {"order": 2, "rotation": "sqrt2", "base": ["sqrt3", "sqrt5"],
+            "progression": "x, x+y", "N": 60, "radius": 1}
+
+
+def _weyl_scenario(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return run_cli(capsys, "weyl", str(path), "--decay-threshold", "0.9")
+
+
+def test_weyl_scenario_numbers_must_be_ints(tmp_path, capsys):
+    # "N": 200.7 used to run N = 200, and "radius": 1.9 radius 1
+    for key, bad in (("N", 60.7), ("N", "60"), ("radius", 1.9), ("radius", True),
+                     ("order", "2"), ("order", 2.0)):
+        code, out, err = _weyl_scenario(tmp_path, capsys, STANDARD | {key: bad})
+        assert code == 2 and not out, (key, bad)
+        assert f"scenario key {key!r} must be int" in err and "Traceback" not in err
+
+
+def test_weyl_scenario_progression_must_be_a_string(tmp_path, capsys):
+    code, out, err = _weyl_scenario(tmp_path, capsys, STANDARD | {"progression": ["x"]})
+    assert code == 2 and not out and "scenario key 'progression' must be str" in err
+
+
+def test_weyl_scenario_top_level_must_be_an_object(tmp_path, capsys):
+    code, out, err = _weyl_scenario(tmp_path, capsys, [STANDARD])
+    assert code == 2 and not out and "top level must be a JSON object" in err
+
+
+def test_weyl_scenario_required_keys(tmp_path, capsys):
+    for key in ("order", "progression", "rotation", "base"):
+        scenario = {k: v for k, v in STANDARD.items() if k != key}
+        code, out, err = _weyl_scenario(tmp_path, capsys, scenario)
+        assert code == 2 and not out and f"missing key {key!r}" in err
+    generators = {"order": 2, "system": "generators", "progression": "x, x+y"}
+    code, out, err = _weyl_scenario(tmp_path, capsys, generators)
+    assert code == 2 and not out and "missing key 'generators'" in err
+
+
+def test_missing_input_paths_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["weyl", missing],
+                 ["--config", missing, "analyze", "x, x+y"],
+                 ["count", "x, x+y", "--N", "11", "--subset-file", missing],
+                 ["gowers", "--N", "11", "--signal", "subset", "--subset-file", missing]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert missing in err and "Traceback" not in err
+
+
+def test_float_flags_must_be_finite(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(STANDARD))
+    for argv, flag in ((["popdiff", "x, x+y", "--N", "31", "--epsilon", "nan"], "--epsilon"),
+                       (["popdiff", "x, x+y", "--N", "31", "--epsilon", "inf"], "--epsilon"),
+                       (["popdiff", "x, x+y", "--N", "31", "--alpha=-inf"], "--alpha"),
+                       (["weyl", str(scenario), "--decay-threshold", "nan"],
+                        "--decay-threshold")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out and f"{flag} must be finite" in err
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, "popdiff", "x, x+y", "--N", "31", "--epsilon", value)
+        assert code == 2 and not out and "--epsilon must be > 0" in err
+
+
+def test_non_finite_report_value_is_an_invariant_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cyclic, "gowers_norm", lambda sig, s: float("nan"))
+    code, out, err = run_cli(capsys, "gowers", "--N", "11", "--s-max", "1")
+    assert code == 3 and not out
+    doc = json.loads(err)
+    assert doc["exception"] == "AssertionError" and "not JSON" in doc["check"]

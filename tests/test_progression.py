@@ -62,6 +62,26 @@ def test_homogeneous_relations_examples():
     assert homogeneous_relations(progression(Y, Y2), 1) == []
 
 
+def test_homogeneous_kernel_carried_from_degree_to_degree():
+    # x, x+y, x-y: K_1 holds (-2, 1, 1).  The degree-2 block alone,
+    # a_1 + a_2 = 0, has a 2-dimensional kernel; inside K_1 it has none.
+    prog = progression(Y, (0, -1))
+    assert homogeneous_relations(prog, 1) == [(-2, 1, 1)]
+    assert homogeneous_relation_dims(prog, 4) == [1, 0, 0, 0]
+
+
+def test_homogeneous_kernels_stop_at_the_vandermonde_bound(monkeypatch):
+    # with two equal terms, a_1 = -a_2 survives every degree, which the
+    # Vandermonde bound rules out for distinct ones: an invariant failure
+    from polyprog import progression as pr
+    prog = progression(Y, (0, 2))
+    pr._homogeneous_kernels.cache_clear()
+    monkeypatch.setattr(pr, "_scaled_polys", lambda p: (1, ((0,), (0, 1), (0, 1))))
+    with pytest.raises(AssertionError, match="Vandermonde bound"):
+        homogeneous_relations(prog, 1)
+    pr._homogeneous_kernels.cache_clear()
+
+
 def test_homogeneous_relations_binomial_form_agrees():
     # a relation in powers is a relation in shifted binomials and vice versa
     for prog in (HOM, INH, FIVE):
@@ -509,6 +529,9 @@ def test_ap_relation_count_closed_form():
 
 
 def test_complexity_report_computes_each_homogeneous_degree_once(monkeypatch):
+    # every degree is read off one carried computation per progression, so
+    # it runs once for each progression the report meets: FIVE and the 10
+    # families of its eligibility sweep at r_max 4, which all differ from it
     from polyprog import progression as pr
     for value in vars(pr).values():
         if callable(getattr(value, "cache_clear", None)):
@@ -522,4 +545,4 @@ def test_complexity_report_computes_each_homogeneous_degree_once(monkeypatch):
 
     monkeypatch.setattr(pr, "homogeneous_relations", counted)
     complexity_report(FIVE)
-    assert len(calls) == len(set(calls)) == 78
+    assert pr._homogeneous_kernels.cache_info().misses == len({p for p, _ in calls}) == 11

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyprog import oracle, ratlinalg as rl
 
@@ -76,6 +76,39 @@ def test_rref_matches_fraction_route(rows):
     assert rl.canonical_basis(rows) == oracle.canonical_basis_by_fractions(rows)
     int_rows = [[int(x) for x in row] for row in rows]
     assert rl.canonical_basis(int_rows) == oracle.canonical_basis_by_fractions(int_rows)
+
+
+@st.composite
+def kernel_systems(draw):
+    """(rows, ncols): small rational rows, tall or wide or none, with zero
+    rows and repeats of drawn rows mixed in."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1]),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=8))
+    for extra in draw(st.lists(st.booleans(), max_size=3)):
+        rows.append(draw(st.sampled_from(rows)) if extra and rows else [0] * n)
+    return draw(st.permutations(rows)), n
+
+
+@given(kernel_systems())
+@example(([], 3))                                       # full kernel
+@example(([[0, 0], [0, 0]], 2))                         # full kernel
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3))       # empty kernel
+@settings(max_examples=100, deadline=None)
+def test_oracle_kernel_matches_fraction_rref(system):
+    # the integer Gauss-Jordan kernel against the one read off the
+    # textbook Fraction RREF, 1 at each free column
+    rows, ncols = system
+    red, pivots = oracle.rref_by_fractions(rows)
+    expected = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        expected.append(v)
+    assert oracle._rref_kernel(rows, ncols) == expected
 
 
 def _combination(weights, rows):
