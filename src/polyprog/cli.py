@@ -239,6 +239,24 @@ def _atom_from_text(text):
     return Fraction(text)
 
 
+def _atoms(value):
+    """A list of torus coordinates, each a string such as "sqrt2+1/3" or an int."""
+    return isinstance(value, list) and all(_has_type(v, "str") or _has_type(v, "int")
+                                           for v in value)
+
+
+# scenario key: (what it must be, check)
+_SCENARIO_TYPES = {
+    **{key: ("int", lambda v: _has_type(v, "int")) for key in ("order", "N", "radius")},
+    "progression": ("str", lambda v: _has_type(v, "str")),
+    "system": ('"standard" or "generators"', lambda v: v in ("standard", "generators")),
+    "rotation": ("a string or an int", lambda v: _atoms([v])),
+    "base": ("a list of strings or ints", _atoms),
+    "generators": ("a list of lists of strings or ints",
+                   lambda v: isinstance(v, list) and all(map(_atoms, v))),
+}
+
+
 def load_scenario(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -248,13 +266,13 @@ def load_scenario(path):
         raise ValueError("scenario key 'dependencies' is not supported; declare a "
                          "rational dependence by a shared symbol with an offset, "
                          "e.g. \"sqrt2+1/3\" in place of a separate symbol")
-    generators = data.get("system", "standard") == "generators"
+    for key, (kind, fits) in _SCENARIO_TYPES.items():
+        if key in data and not fits(data[key]):
+            raise ValueError(f"scenario key {key!r} must be {kind}, got {data[key]!r}")
+    generators = data.get("system") == "generators"
     for key in ("order", "progression", *(["generators"] if generators else ["rotation", "base"])):
         if key not in data:
             raise ValueError(f"scenario {path}: missing key {key!r}")
-    for key, kind in {"order": "int", "progression": "str", "N": "int", "radius": "int"}.items():
-        if key in data and not _has_type(data[key], kind):
-            raise ValueError(f"scenario key {key!r} must be {kind}, got {data[key]!r}")
     order = data["order"]
     if generators:
         gens = [tuple(_atom_from_text(v) for v in vec)

@@ -176,6 +176,8 @@ GOWERS_CALL_COST = 800
 GOWERS_CALLER_FRAMES = 100
 COUNT_BUDGET = 25 * 10 ** 7
 POPDIFF_BUDGET = 4 * 10 ** 9
+# |K| (t+1) Fourier gathers in the linear-model count, K its dual kernel mod N.
+LINEAR_COUNT_BUDGET = 2 ** 31
 
 
 def _refuse_above(cost, budget, name, what, formula):
@@ -221,7 +223,7 @@ def check_popdiff_cost(n: int, prog: Progression):
 LINEAR_COUNT_CHUNK = 1 << 14  # points of K gathered at once; bounds memory
 
 
-def linear_count_operator(signals, coeffs, d: int, budget: int = 2 ** 31) -> complex:
+def linear_count_operator(signals, coeffs, d: int) -> complex:
     """E_{x, y_1..y_d} prod_i f_i(x + sum_j a_ij y_j), on the Fourier side.
 
     `coeffs` is the (t+1) x d integer matrix of the linear forms (row 0 is
@@ -230,7 +232,7 @@ def linear_count_operator(signals, coeffs, d: int, budget: int = 2 ** 31) -> com
     K = {xi in (Z/N)^(t+1) : sum_i xi_i = 0, sum_i a_ij xi_i = 0 for all j}
     (Gowers-Wolf).  K is enumerated from an exact mod-N kernel basis in
     chunks of at most LINEAR_COUNT_CHUNK points; the work is |K| (t+1)
-    gathers, and the budget guard refuses it above `budget`."""
+    gathers, refused above LINEAR_COUNT_BUDGET."""
     if d < 1:
         raise ValueError("need at least one linear variable")
     n = signals[0].modulus
@@ -244,8 +246,8 @@ def linear_count_operator(signals, coeffs, d: int, budget: int = 2 ** 31) -> com
     constraints = [[1] * m] + [[int(coeffs[i][j]) for i in range(m)] for j in range(d)]
     basis = _kernel_mod_prime(constraints, m, n)
     size = n ** len(basis)
-    if size * m > budget:
-        raise BudgetExceeded(f"|K| (t+1) = {size * m} exceeds budget {budget}")
+    _refuse_above(size * m, LINEAR_COUNT_BUDGET, "LINEAR_COUNT_BUDGET", "linear count",
+                  "|K| (t+1)")
     fhats = [np.fft.fft(f.values) / n for f in signals]
     vecs = np.array(basis, dtype=np.int64).reshape(len(basis), m)
     radix = n ** np.arange(len(basis), dtype=np.int64)
@@ -344,8 +346,7 @@ def integral_span_basis(prog: Progression):
     return basis, coeffs
 
 
-def compare_poly_vs_linear(mask, prog: Progression, cap=None,
-                           budget: int = 2 ** 31) -> CountReport:
+def compare_poly_vs_linear(mask, prog: Progression, cap=None) -> CountReport:
     """Count the progression pattern in A and in its linear model.
 
     Requires complexity <= 1 at every index (rejected with the witness
@@ -364,7 +365,7 @@ def compare_poly_vs_linear(mask, prog: Progression, cap=None,
     f = Signal.from_subset(mask)
     signals = [f] * (prog.t + 1)
     poly = count_operator(signals, prog)
-    linear = linear_count_operator(signals, [[0] * d] + coeffs, d, budget=budget)
+    linear = linear_count_operator(signals, [[0] * d] + coeffs, d)
     return CountReport(poly_count=poly, linear_count=linear, n=n, d=d,
                        basis=[poly_text(q) for q in basis], coeffs=coeffs)
 

@@ -13,7 +13,9 @@ C(x + P(y), k) expanded into monomial cell maps from the powers of
 x + P(y), relation vectors from the Fraction system of those expanded
 shifted binomials, the relation re-check by expanding sum_i Q_i(x + P_i(y))
 (`progression` evaluates it on an integer grid), homogeneous relations
-from expansions of (x + P_i)^k, reparametrized families by Horner
+from expansions of (x + P_i)^k, the coefficient space from the coefficient
+tuples of (x + P_i)^m and of C(x + P_i, m) for m <= k (`progression` reads
+it off the degree-k layer basis), reparametrized families by Horner
 substitution into the monomial coefficients (`progression` differences
 integer values), shared layer parts by intersecting row
 spaces, the Fraction RREF and the coordinates read off the RREF of
@@ -249,6 +251,30 @@ def homogeneous_relations_by_expansion(prog: Progression, k: int):
     columns = sorted({c for g in grids for c in g}, key=_cell_order)
     rows = [[g.get(c, Fraction(0)) for g in grids] for c in columns]
     return [tuple(v) for v in _rref_kernel(rows, prog.t + 1)]
+
+
+def _coefficient_rows(maps):
+    """maps[i][m] are cell maps; per degree m and cell c, the row
+    (maps[0][m][c], ..., maps[t][m][c])."""
+    rows = []
+    for per_term in zip(*maps):
+        cells = sorted({c for g in per_term for c in g}, key=_cell_order)
+        rows.extend([g.get(c, Fraction(0)) for g in per_term] for c in cells)
+    return rows
+
+
+def coeff_rows_by_powers(prog: Progression, k: int):
+    """Coefficient tuples of the powers (x + P_i(y))^m, m = 0..k, over every
+    cell: they span the degree-k coefficient space (`progression.coeff_space`
+    decomposes the degree-k binomials over a layer basis instead)."""
+    return _coefficient_rows([_shift_powers(monomial(p), k) for p in prog.all_polys()])
+
+
+def coeff_rows_by_binomials(prog: Progression, k: int):
+    """Coefficient tuples of the binomials C(x + P_i(y), m), m = 0..k, over
+    every cell: the same span as `coeff_rows_by_powers`."""
+    return _coefficient_rows([[binom_of_shift(p, m) for m in range(k + 1)]
+                              for p in prog.all_polys()])
 
 
 def relation_vectors_by_expansion(prog: Progression, cap: int):

@@ -36,7 +36,6 @@ from math import comb, factorial, gcd, lcm
 from . import ratlinalg as rl
 from .polycore import (
     NEG_INF,
-    binom_int,
     cells_text,
     forward_differences,
     monomial_coeffs,
@@ -207,9 +206,9 @@ def _scaled_polys(prog: Progression):
 
 @lru_cache(maxsize=256)
 def _expansions(prog: Progression, cap: int):
-    """(table, scales): for each index i and degree k <= cap, the integer
-    grid table[(i, k)] = {(a, b): coeff of x^a y^b in d_k C(x + P_i(y), k)},
-    and scales[k] = d_k = k! L^k.
+    """(columns, rows, scales): the grid cells x^a y^b of all degrees <= cap,
+    per degree k the integer rows d_k C(x + P_i(y), k), i = 0..t, over them
+    (rows[0] is empty), and scales[k] = d_k = k! L^k.
 
     Computed once per (progression, cap) by the Vandermonde convolution
     C(x + P, k) = sum_j C(x, k-j) C(P, j), in integers: with Q = L*P and
@@ -229,8 +228,8 @@ def _expansions(prog: Progression, cap: int):
     falling = [[1]]
     for n in range(cap):
         falling.append(_convolve(falling[-1], [-n, 1]))
-    table = {}
-    for i, q in enumerate(scaled):
+    grids = []      # i-major (k, grid) pairs, so rows[k] comes out in index order
+    for q in scaled:
         numer = [[1]]
         for j in range(1, cap + 1):
             numer.append(_convolve(numer[-1], [q[0] - (j - 1) * scale, *q[1:]]))
@@ -244,26 +243,16 @@ def _expansions(prog: Progression, cap: int):
                         for b, cb in enumerate(numer[j]):
                             if cb:
                                 row[b] += wa * cb
-            table[(i, k)] = {(a, b): v for a, row in enumerate(grid)
-                             for b, v in enumerate(row) if v}
-    return table, tuple(factorial(k) * scale ** k for k in range(cap + 1))
-
-
-def _layer_rows(prog: Progression, cap: int):
-    """(columns, rows, scales): the grid cells of all degrees <= cap, per
-    degree k the integer rows d_k C(x + P_i(y), k), i = 0..t, over them,
-    and the scales d_k."""
-    table, scales = _expansions(prog, cap)
-    columns = sorted({c for g in table.values() for c in g},
+            grids.append((k, grid))
+    columns = sorted({(a, b) for _, grid in grids for a, row in enumerate(grid)
+                      for b, v in enumerate(row) if v},
                      key=lambda ab: (ab[0] + ab[1], ab[1], ab[0]))
-    index = {c: j for j, c in enumerate(columns)}
-    rows = {k: [] for k in range(1, cap + 1)}
-    for (i, k), g in table.items():     # i-major, so rows[k] is in index order
-        row = [0] * len(columns)
-        for c, v in g.items():
-            row[index[c]] = v
-        rows[k].append(row)
-    return columns, rows, scales
+    rows = [[] for _ in range(cap + 1)]
+    for k, grid in grids:
+        width = len(grid[0])
+        rows[k].append(tuple(grid[a][b] if a <= k and b < width else 0 for a, b in columns))
+    return (tuple(columns), tuple(map(tuple, rows)),
+            tuple(factorial(k) * scale ** k for k in range(cap + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +282,7 @@ def relation_space(prog: Progression, cap: int) -> RelationSpace:
 def _relation_vectors(prog: Progression, cap: int):
     if cap < 1:
         raise ValueError("relation cap must be >= 1")
-    _, layer_rows, scales = _layer_rows(prog, cap)
+    _, layer_rows, scales = _expansions(prog, cap)
     unknowns = [(i, k) for i in range(prog.t + 1) for k in range(1, cap + 1)]
     # Equation matrix M' = M D: one row per grid cell, one column per
     # unknown, with the true coefficient matrix M scaled by d_k per column.
@@ -356,34 +345,6 @@ def _homogeneous_kernels(prog: Progression):
             return tuple(kernels)
     raise AssertionError(f"Vandermonde bound: {prog.text()} has homogeneous relations "
                          f"of degree t = {prog.t}")
-
-
-def _power_rows(prog: Progression, k: int):
-    """Rows ([y^b] (L P_0)^m, ..., [y^b] (L P_t)^m) for m = 0..k, all b: the
-    block m is scaled by L^m (L clears the monomial denominators)."""
-    _, scaled = _scaled_polys(prog)
-    rows = [[1] * (prog.t + 1)]
-    powers = [[1]] * (prog.t + 1)
-    for _ in range(k):
-        powers = [_convolve(pw, q) for pw, q in zip(powers, scaled)]
-        width = max(len(pw) for pw in powers)
-        rows.extend([pw[b] if b < len(pw) else 0 for pw in powers] for b in range(width))
-    return rows
-
-
-def _binomial_rows(prog: Progression, k: int):
-    """Rows ([C(y,b)] C(P_0(y), m), ..., [C(y,b)] C(P_t(y), m)) for
-    m = 0..k, all b: binomial coordinates are forward differences at 0 of
-    the integer values C(P_i(y), m), y = 0..m * max deg."""
-    points = k * prog.max_degree() + 1
-    values = [[value(p, y) for y in range(points)] for p in prog.all_polys()]
-    rows = []
-    for m in range(k + 1):
-        diffs = [forward_differences([binom_int(n, m)
-                                      for n in vals[:m * prog.max_degree() + 1]])
-                 for vals in values]
-        rows.extend(list(col) for col in zip(*diffs))
-    return rows
 
 
 def homogeneous_relation_dims(prog: Progression, cap: int):
@@ -484,7 +445,7 @@ def graded_spaces(prog: Progression, k_max: int, cap: int | None = None) -> Grad
         cap = max(prog.default_cap(), k_max)
     if k_max < 1 or cap < k_max:
         raise ValueError("need 1 <= k_max <= cap")
-    columns, layer_rows, _ = _layer_rows(prog, cap)
+    columns, layer_rows, _ = _expansions(prog, cap)
     relations = _relation_vectors(prog, cap)
     layers = []
     for k in range(1, k_max + 1):
@@ -574,7 +535,7 @@ def _inhomogeneity_witness(prog: Progression, cap: int):
     (graded_spaces' layer(k).shared[0]), and the combination of relation
     vectors whose degree-k image is exactly that polynomial is the witness
     relation: it vanishes while its degree-k part does not."""
-    columns, layer_rows, scales = _layer_rows(prog, cap)
+    columns, layer_rows, scales = _expansions(prog, cap)
     relations = _relation_vectors(prog, cap)
     for k in range(1, cap + 1):
         images = _degree_images(relations, layer_rows[k], cap, k)
@@ -615,7 +576,7 @@ def coeff_space(prog: Progression, k: int, cap: int | None = None) -> CoeffSpace
         raise ValueError("degree must be >= 1")
     if cap is None:
         cap = max(prog.default_cap(), k)
-    columns, layer_rows, scales = _layer_rows(prog, cap)
+    columns, layer_rows, scales = _expansions(prog, cap)
     # only the cells of degree k: the eliminations below scale with width
     used = [j for j in range(len(columns)) if any(row[j] for row in layer_rows[k])]
     columns = [columns[j] for j in used]
@@ -624,7 +585,6 @@ def coeff_space(prog: Progression, k: int, cap: int | None = None) -> CoeffSpace
     vectors = _component_vectors(comp_rows, basis_rows, scales[k])
     if rl.rank(vectors) != len(basis_rows):
         raise AssertionError("decomposition vectors must be independent")
-    _verify_coeff_space_definitions(prog, k, vectors)
     pairs = tuple((_row_cells(r, columns), v) for r, v in zip(basis_rows, vectors))
     return CoeffSpace(k=k, basis=tuple(vectors), decomposition=pairs)
 
@@ -637,17 +597,6 @@ def _component_vectors(comp_rows, basis_rows, scale):
     if any(c is None for c in coords):
         raise AssertionError("layer component must lie in the layer span")
     return [tuple(c[j] / scale for c in coords) for j in range(len(basis_rows))]
-
-
-def _verify_coeff_space_definitions(prog, k, vectors):
-    """The equivalent descriptions must give the same span: the coefficient
-    tuples of the powers (x + P_i)^k and of the binomials C(x + P_i, k), at
-    degree k alone or over all degrees up to k, all span the power rows
-    (and the binomial rows) for m = 0..k."""
-    span = [list(v) for v in vectors]
-    for rows in (_power_rows(prog, k), _binomial_rows(prog, k)):
-        if not rl.same_row_space(rows, span):
-            raise AssertionError("equivalent coefficient-space definitions disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +684,8 @@ def complexity_report(prog: Progression, cap: int | None = None,
         "proper_dims": {str(layer.k): layer.proper_dim for layer in graded.layers},
         "shared_dims": {str(layer.k): len(layer.shared) for layer in graded.layers},
         "shared_polys": [cells_text(w) for layer in graded.layers for w in layer.shared],
-        "coeff_space_dims": {str(k): coeff_space(prog, k, cap).dim
-                             for k in range(1, k_report + 1)},
+        # one independent decomposition vector per layer basis row (coeff_space)
+        "coeff_space_dims": {str(layer.k): layer.dim for layer in graded.layers},
     }
     if homog["witness"] is not None:
         report["inhomogeneity_witness"] = {

@@ -30,7 +30,7 @@ import numpy as np
 from . import ratlinalg as rl
 from .polycore import binom_int, binomial_grid, value
 from .progression import (Progression, Relation, graded_spaces, _component_vectors,
-                          _layer_rows, _row_cells)
+                          _expansions, _row_cells)
 
 FRAC_BITS = 256
 _SCALE = 1 << FRAC_BITS
@@ -326,7 +326,7 @@ def closure_decomposition(prog: Progression, s: int, cap=None):
     if cap is None:
         cap = max(prog.default_cap(), s)
     graded = graded_spaces(prog, k_max=s, cap=cap)
-    columns, layer_rows, scales = _layer_rows(prog, cap)
+    columns, layer_rows, scales = _expansions(prog, cap)
 
     def poly_row(cells):
         return [cells.get(c, 0) for c in columns]
@@ -669,21 +669,14 @@ def enumerate_characters(dim, radius):
     return dedup
 
 
-def _integer_row(vec):
-    """A rational vector as (integer vector, d > 0) with vec = integers / d."""
-    vec = [Fraction(v) for v in vec]
-    d = math.lcm(*(v.denominator for v in vec))
-    return [int(v * d) for v in vec], d
-
-
 def classify_characters(characters, closure: AffineClosure):
     """'generic' when eta is not orthogonal to the closure's subspace,
     'confined' when it is but pairs some coset shift to a non-integer, and
     'constant' otherwise.  The basis vectors and shifts are scaled to
     integers once: eta . b != 0 iff eta . (d b) != 0, and eta . shift is
     an integer iff eta . (d shift) = 0 mod d."""
-    basis = [_integer_row(vec)[0] for vec in closure.subspace_basis]
-    shifts = [_integer_row(shift) for shift in closure.coset_shifts]
+    basis = [rl._as_int_row(vec)[0] for vec in closure.subspace_basis]
+    shifts = [rl._as_int_row(shift) for shift in closure.coset_shifts]
 
     def kind(eta):
         if any(sum(f * b for f, b in zip(eta, row)) for row in basis):
@@ -729,7 +722,7 @@ def check_sweep_cost(w: WeylSystem, prog: Progression, n: int, radius: int):
 
 def equidistribution_test(w: WeylSystem, prog: Progression,
                           closure: AffineClosure, n: int, radius: int = 3,
-                          extra_characters=(), threads: int = 1, tails=None):
+                          threads: int = 1, tails=None):
     """Character averages over the orbit tuple for x, y < n.
 
     Characters orthogonal to the closure (subspace and coset lattice) must
@@ -742,10 +735,6 @@ def equidistribution_test(w: WeylSystem, prog: Progression,
     if tails is None:
         tails = _orbit_tail_tables(w, prog, n)
     freq_list = enumerate_characters(closure.ambient_dim, radius)
-    for extra in extra_characters:
-        extra = tuple(int(v) for v in extra)
-        if extra not in freq_list:
-            freq_list.append(extra)
     averages = character_average(tails, freq_list, threads=threads)
     kinds = classify_characters(freq_list, closure)
     rows = [DiscrepancyRow(frequencies=tuple(freqs), kind=kind, magnitude=abs(avg))

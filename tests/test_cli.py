@@ -424,6 +424,43 @@ def test_weyl_scenario_progression_must_be_a_string(tmp_path, capsys):
     assert code == 2 and not out and "scenario key 'progression' must be str" in err
 
 
+GENERATORS = {"order": 2, "system": "generators", "generators": [["sqrt2", 0], [0, "sqrt3"]],
+              "progression": "x, x+y", "N": 60, "radius": 1}
+
+
+def _refused_naming(tmp_path, capsys, scenario, key, kind):
+    code, out, err = _weyl_scenario(tmp_path, capsys, scenario)
+    assert code == 2 and not out, (key, scenario[key])
+    assert f"scenario key {key!r} must be {kind}" in err and "Traceback" not in err
+
+
+def test_weyl_scenario_system_must_be_named(tmp_path, capsys):
+    # "system": 3 used to run a standard system without a word
+    for bad in (3, "generator", ["generators"], None):
+        _refused_naming(tmp_path, capsys, STANDARD | {"system": bad}, "system",
+                        '"standard" or "generators"')
+
+
+def test_weyl_scenario_generators_must_be_lists_of_atoms(tmp_path, capsys):
+    # "generators": 5 used to end in a TypeError traceback
+    for bad in (5, "sqrt2", ["sqrt2", 0], [["sqrt2", 1.5]], [[True, 0]]):
+        _refused_naming(tmp_path, capsys, GENERATORS | {"generators": bad}, "generators",
+                        "a list of lists of strings or ints")
+
+
+def test_weyl_scenario_base_must_be_a_list_of_atoms(tmp_path, capsys):
+    for scenario in (STANDARD, GENERATORS):
+        for bad in ("sqrt3", 0, [0.5, 0], [["sqrt3"], 0]):
+            _refused_naming(tmp_path, capsys, scenario | {"base": bad}, "base",
+                            "a list of strings or ints")
+
+
+def test_weyl_scenario_rotation_must_be_an_atom(tmp_path, capsys):
+    for bad in (["sqrt2"], 1.5, None, False):
+        _refused_naming(tmp_path, capsys, STANDARD | {"rotation": bad}, "rotation",
+                        "a string or an int")
+
+
 def test_weyl_scenario_top_level_must_be_an_object(tmp_path, capsys):
     code, out, err = _weyl_scenario(tmp_path, capsys, [STANDARD])
     assert code == 2 and not out and "top level must be a JSON object" in err

@@ -140,9 +140,12 @@ def test_linear_count_trivial_and_factorized():
     assert abs(val - alpha ** 3) < 1e-10
 
 
-def test_linear_count_budget():
-    with pytest.raises(BudgetExceeded):
-        linear_count_operator([Signal.ones(101)] * 3, [[0], [1], [2]], 1, budget=100)
+def test_linear_count_budget(monkeypatch):
+    # |K| = 101 for one form in three slots: 303 gathers against a ceiling of 100
+    monkeypatch.setattr(cyclic, "LINEAR_COUNT_BUDGET", 100)
+    with pytest.raises(BudgetExceeded,
+                       match="linear count cost 303 exceeds LINEAR_COUNT_BUDGET = 100"):
+        linear_count_operator([Signal.ones(101)] * 3, [[0], [1], [2]], 1)
 
 
 def test_linear_count_requires_prime_modulus():

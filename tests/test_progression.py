@@ -347,12 +347,31 @@ def small_progressions(draw):
 def test_expansions_match_horner_route(prog):
     from polyprog.progression import _expansions
     cap = prog.default_cap()
-    table, scales = _expansions(prog, cap)
-    for i, p in enumerate(prog.all_polys()):
-        for k in range(1, cap + 1):
-            assert all(type(v) is int for v in table[(i, k)].values())
-            assert {c: Fraction(v, scales[k]) for c, v in table[(i, k)].items()} == \
+    columns, rows, scales = _expansions(prog, cap)
+    assert len(set(columns)) == len(columns)
+    for k in range(1, cap + 1):
+        assert len(rows[k]) == prog.t + 1
+        for row, p in zip(rows[k], prog.all_polys()):
+            assert len(row) == len(columns) and all(type(v) is int for v in row)
+            assert {c: Fraction(v, scales[k]) for c, v in zip(columns, row) if v} == \
                 binom_of_shift(p, k)
+
+
+@given(small_progressions())
+@settings(max_examples=25, deadline=None)
+def test_coeff_space_matches_power_and_binomial_routes(prog):
+    for k in (1, 2, 3):
+        span = [list(v) for v in coeff_space(prog, k).basis]
+        assert rl.same_row_space(oracle.coeff_rows_by_powers(prog, k), span)
+        assert rl.same_row_space(oracle.coeff_rows_by_binomials(prog, k), span)
+
+
+def test_report_coeff_space_dims_match_coeff_space():
+    for prog in (HOM, INH, FIVE):
+        report = complexity_report(prog)
+        dims = report["coeff_space_dims"]
+        assert dims and dims.keys() == report["layer_dims"].keys()
+        assert dims == {k: coeff_space(prog, int(k), report["cap"]).dim for k in dims}
 
 
 @given(small_progressions())

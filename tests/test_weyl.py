@@ -186,12 +186,12 @@ def test_closure_rejects_reused_symbol_in_generator():
 
 def test_equidistribution_classification_and_constants():
     closure = closure_subspaces(HOM, STD2)
-    table = equidistribution_test(STD2, HOM, closure, 250, radius=1,
-                                  extra_characters=[(1, -2, 1, 0, 0, 0, 0, 0)])
-    ap_row = next(r for r in table.rows
-                  if r.frequencies == (1, -2, 1, 0, 0, 0, 0, 0))
-    assert ap_row.kind == "constant"
-    assert abs(ap_row.magnitude - 1.0) < 1e-9
+    tails = weyl._orbit_tail_tables(STD2, HOM, 250)
+    table = equidistribution_test(STD2, HOM, closure, 250, radius=1, tails=tails)
+    # the AP character lies outside the radius-1 ball: read it on the same tails
+    ap = (1, -2, 1, 0, 0, 0, 0, 0)
+    assert weyl.classify_characters([ap], closure) == ["constant"]
+    assert abs(abs(weyl.character_average(tails, [ap])[0]) - 1.0) < 1e-9
     for row in table.rows:
         if row.kind == "generic":
             assert row.magnitude < 0.9
@@ -366,11 +366,9 @@ def test_coset_confinement_small():
 
 def test_trivial_character_row_is_exactly_one():
     closure = closure_subspaces(HOM, STD2)
-    table = equidistribution_test(STD2, HOM, closure, 60, radius=1,
-                                  extra_characters=[(0,) * 8])
-    zero_row = next(r for r in table.rows if not any(r.frequencies))
-    assert zero_row.kind == "constant"
-    assert abs(zero_row.magnitude - 1.0) < 1e-12
+    tails = weyl._orbit_tail_tables(STD2, HOM, 60)
+    assert weyl.classify_characters([(0,) * 8], closure) == ["constant"]
+    assert abs(abs(weyl.character_average(tails, [(0,) * 8])[0]) - 1.0) < 1e-12
 
 
 def test_character_average_matches_direct_orbit_evaluation():

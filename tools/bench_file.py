@@ -11,9 +11,13 @@ first in even pairs and the working tree first in odd ones, so a drift in
 machine speed falls on both.  The file keeps every run, with its length
 in seconds (the harness's checks after the run included) and its `rounds`
 line, and, per metric, each side's median and quartiles and the number of
-pairs the working tree won.  `run_length_s` gives each side's median run
-length, which is also printed per workload, naming any side whose median
-run is longer than RUN_LENGTH_LIMIT_S.
+pairs the working tree won.  A metric is `unresolved` when the base
+side's quartile spread over its median exceeds the metric's bound in
+BENCHMARK.json and not every working-tree run beats every base run: at that
+spread a comparison of medians against the bound can fail on noise alone.
+Unresolved metrics are named on stderr.  `run_length_s` gives each side's
+median run length, which is also printed per workload, naming any side
+whose median run is longer than RUN_LENGTH_LIMIT_S.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED0 = 701
 PAIRS = 10
-METRICS = ("setup_s", "wall_s", "cpu_s", "op_p50_s", "peak_rss_mb")
 # The longest run, set-up and checks after it included, with which the
 # benchmark fitted its 70 runs into 3,420 s.
 RUN_LENGTH_LIMIT_S = 46.0
@@ -61,14 +64,22 @@ def quartiles(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(pairs):
+def summarize(pairs, end_to_end):
+    """Per end-to-end metric of BENCHMARK.json (name, bound, better), each
+    side's quartiles, the pairs the working tree won, and `unresolved`."""
     summary = {}
-    for name in METRICS:
+    for metric in end_to_end:
+        name = metric["name"]
         base = [p["base"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
-        summary[name] = {"base": quartiles(base), "head": quartiles(head),
-                         "head_wins": sum(h < b for b, h in zip(base, head)),
-                         "pairs": len(pairs)}
+        spread = quartiles(base)
+        beats = (lambda h, b: h < b) if metric["better"] == "lower" else (lambda h, b: h > b)
+        summary[name] = {"base": spread, "head": quartiles(head),
+                         "head_wins": sum(beats(h, b) for b, h in zip(base, head)),
+                         "pairs": len(pairs),
+                         "unresolved": (spread["q3"] - spread["q1"]
+                                        > metric["bound"] * abs(spread["median"])
+                                        and not all(beats(h, b) for h in head for b in base))}
     # A change that makes operations faster fits more rounds, and so more
     # checks, into each run: the run length shows it.
     summary["run_length_s"] = {side: statistics.median(p[side]["elapsed_s"] for p in pairs)
@@ -111,8 +122,12 @@ def main(argv=None):
                           f"peak_rss_mb {pair[side]['peak_rss_mb']:.1f} "
                           f"run {pair[side]['elapsed_s']:.1f} s", file=sys.stderr)
                 pairs.append(pair)
-            summary = summarize(pairs)
+            summary = summarize(pairs, bench["end_to_end"])
             doc["workloads"][workload] = {"summary": summary, "runs": pairs}
+            for name in (m["name"] for m in bench["end_to_end"]):
+                if summary[name]["unresolved"]:
+                    print(f"{workload} {name} unresolved: the base quartile spread exceeds "
+                          f"its bound", file=sys.stderr)
             for side, length in summary["run_length_s"].items():
                 over = f", above {RUN_LENGTH_LIMIT_S:.0f} s" if length > RUN_LENGTH_LIMIT_S else ""
                 print(f"{workload} {side} median run length {length:.1f} s{over}",
