@@ -30,11 +30,10 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import cyclic, weyl
 from .parser import parse_progression
 from .progression import complexity_report, relation_space
+
+_PARSER = None      # built by the first call to main(), then reused
 
 
 @dataclass
@@ -126,12 +125,8 @@ def _emit_csv(doc, path):
             writer.writerow(row)
 
 
-def _parse_expr(text):
-    # ProgressionSyntaxError is a ValueError; main() reports it as exit 2
-    return parse_progression(text)
-
-
 def _subset(cfg: Config, args, n):
+    from . import cyclic
     if getattr(args, "subset_file", None):
         return cyclic.read_subset(args.subset_file, n)
     return cyclic.bernoulli_subset(n, cfg.alpha, cfg.seed)
@@ -141,7 +136,7 @@ def _subset(cfg: Config, args, n):
 # Subcommands
 
 def cmd_analyze(cfg: Config, args):
-    expr = _parse_expr(args.progression)
+    expr = parse_progression(args.progression)
     report = complexity_report(expr.progression, cap=cfg.cap,
                                eligibility_r_max=cfg.r_max)
     report["canonical"] = expr.canonical
@@ -150,7 +145,7 @@ def cmd_analyze(cfg: Config, args):
 
 
 def cmd_relations(cfg: Config, args):
-    expr = _parse_expr(args.progression)
+    expr = parse_progression(args.progression)
     cap = expr.progression.default_cap() if cfg.cap is None else cfg.cap
     space = relation_space(expr.progression, cap)
     doc = {
@@ -168,7 +163,8 @@ def cmd_relations(cfg: Config, args):
 
 
 def cmd_count(cfg: Config, args):
-    expr = _parse_expr(args.progression)
+    from . import cyclic
+    expr = parse_progression(args.progression)
     cyclic.check_count_cost(cfg.n_schedule, expr.progression)
     rows = []
     for n in cfg.n_schedule:
@@ -188,6 +184,8 @@ def _check_modulus(n):
 
 
 def cmd_gowers(cfg: Config, args):
+    import numpy as np
+    from . import cyclic
     n = _check_modulus(101 if args.N is None else args.N)
     if args.s_max < 1:
         raise ValueError(f"--s-max must be >= 1, got {args.s_max}")
@@ -215,7 +213,8 @@ def cmd_gowers(cfg: Config, args):
 
 
 def cmd_popdiff(cfg: Config, args):
-    expr = _parse_expr(args.progression)
+    from . import cyclic
+    expr = parse_progression(args.progression)
     n = _check_modulus(cfg.n_schedule[-1] if args.N is None else args.N)
     cyclic.check_popdiff_cost(n, expr.progression)
     mask = _subset(cfg, args, n)
@@ -225,6 +224,7 @@ def cmd_popdiff(cfg: Config, args):
 
 
 def _atom_from_text(text):
+    from . import weyl
     text = str(text).strip()
     if not text or text == "0":
         return Fraction(0)
@@ -258,6 +258,7 @@ _SCENARIO_TYPES = {
 
 
 def load_scenario(path):
+    from . import weyl
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -288,6 +289,7 @@ def load_scenario(path):
 
 
 def cmd_weyl(cfg: Config, args):
+    from . import weyl
     system, expr, raw = load_scenario(args.scenario)
     n = _check_modulus(raw.get("N", cfg.n_weyl) if args.N is None else args.N)
     # flag, then scenario, then config (cfg.radius also holds the flag)
@@ -379,12 +381,14 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         cfg = Config.load(args.config) if args.config else Config()
         cfg = _apply_overrides(cfg, args)
-        code = args.func(cfg, args)
+        # looked up by name at call time, so a replaced cmd_* is the one run
+        code = globals()[args.func.__name__](cfg, args)
         sys.stdout.flush()      # a closed reader surfaces here, not at exit
         return code
     except BrokenPipeError:

@@ -3,11 +3,13 @@
 The relation solver in `progression` works in binomial coordinates via
 integer Vandermonde convolutions and a modular-prescan kernel.  The oracle
 here does none of that: polynomials are read into monomial coefficients by
-its own products of the factors (u - i)/(i + 1), unknowns are plain
-monomial coefficients, expansions use its own dict-based polynomial
-powers, and the kernel is read off a plain Gauss-Jordan elimination of the
-rows scaled to integers (no prime, no Bareiss).  Agreement between the two
-is an end-to-end check of both (acceptance criterion and tests call it).
+its own products of the factors (u - i), unknowns are plain monomial
+coefficients, column (i, k) of the dense system is (L x + L P_i(y))^k
+expanded in integers by the binomial theorem (L clears the monomial
+denominators; the column scale L^k is undone on the kernel), and the
+kernel is read off a plain Gauss-Jordan elimination in integers (no prime,
+no Bareiss).  Agreement between the two is an end-to-end check of both
+(acceptance criterion and tests call it).
 The other routes here are the ones the package replaced: q(x + P(y)) and
 C(x + P(y), k) expanded into monomial cell maps from the powers of
 x + P(y), relation vectors from the Fraction system of those expanded
@@ -17,7 +19,9 @@ from expansions of (x + P_i)^k, the coefficient space from the coefficient
 tuples of (x + P_i)^m and of C(x + P_i, m) for m <= k (`progression` reads
 it off the degree-k layer basis), reparametrized families by Horner
 substitution into the monomial coefficients (`progression` differences
-integer values), shared layer parts by intersecting row
+integer values), the eligibility sweep by solving the relation space of
+every family (`progression` reads only the homogeneous relation
+dimensions of each), shared layer parts by intersecting row
 spaces, the Fraction RREF and the coordinates read off the RREF of
 [rows | I], and the linear-model count as the direct sum over all
 N^(d+1) points, where `cyclic` sums Fourier coefficients over a mod-N
@@ -38,7 +42,7 @@ from .weyl import WeylSystem, _SCALE
 
 def _mul(a, b):
     """Product of two monomial coefficient lists."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -46,16 +50,19 @@ def _mul(a, b):
 
 
 def monomial(bs):
-    """Monomial coefficients of sum_k b_k C(u, k), with C(u, k) expanded as
-    the product of the factors (u - i)/(i + 1), i < k (`polycore` runs
-    Horner's rule in the binomial basis, in integers)."""
-    out = [Fraction(0)] * len(bs)
-    binom = [Fraction(1)]
+    """Monomial coefficients of sum_k b_k C(u, k), with k! C(u, k) expanded
+    as the product of the factors (u - i), i < k, in integers, and one
+    division by d! at the end (`polycore` runs Horner's rule in the binomial
+    basis)."""
+    top = math.factorial(len(bs) - 1) if bs else 1
+    out = [0] * len(bs)
+    falling = [1]
     for k, b in enumerate(bs):
-        for i, c in enumerate(binom):
-            out[i] += b * c
-        binom = _mul(binom, [Fraction(-k, k + 1), Fraction(1, k + 1)])
-    return trim(out)
+        weight = b * (top // math.factorial(k))
+        for i, c in enumerate(falling):
+            out[i] += weight * c
+        falling = _mul(falling, [-k, 1])
+    return trim(Fraction(c) / top for c in out)
 
 
 def evaluate(coeffs, u):
@@ -210,29 +217,60 @@ def canonical_basis_by_fractions(rows):
     return [primitive_integer_row(r) for r in rref_by_fractions(rows)[0]]
 
 
+def _integer_rref(rows, ncols):
+    """(pivot rows, pivot columns) of the reduced row echelon form of
+    integer rows, in integers: each pivot row is the RREF row times its
+    pivot entry.  Forward elimination by cross-multiplication, with the
+    pivot of each column a row of smallest entry there, then back-
+    substitution; every row is divided by the gcd of its entries, and rows
+    that became zero or repeat another are dropped after each pivot."""
+    zero = (0,) * ncols
+    pending = _distinct(map(_primitive, rows), zero)
+    done, pivots = [], []
+    for c in range(ncols):
+        live = [row for row in pending if row[c]]
+        if not live:
+            continue
+        prow = min(live, key=lambda row: abs(row[c]))
+        p = prow[c]
+        pending = _distinct([row for row in pending if not row[c]] +
+                            [_reduce(row, prow, p, c) for row in live if row is not prow], zero)
+        done.append(prow)
+        pivots.append(c)
+    for r in range(len(done) - 1, 0, -1):
+        prow, c = done[r], pivots[r]
+        done[:r] = [_reduce(row, prow, prow[c], c) if row[c] else row for row in done[:r]]
+    return done, pivots
+
+
+def _reduce(row, prow, p, c):
+    """p * row - row[c] * prow over the gcd of its entries."""
+    f = row[c]
+    return _primitive([p * a - f * b for a, b in zip(row, prow)])
+
+
+def _primitive(row):
+    """An integer row over the gcd of its entries, as a tuple."""
+    g = math.gcd(*row)
+    return tuple([x // g for x in row]) if g > 1 else tuple(row)
+
+
+def _distinct(rows, zero):
+    """The rows other than `zero`, each once, in order."""
+    rows = dict.fromkeys(rows)
+    rows.pop(zero, None)
+    return list(rows)
+
+
 def _rref_kernel(rows, ncols):
     """Kernel basis read off the reduced row echelon form, 1 at each free
-    column: primitive integer rows reduced Gauss-Jordan style by cross-
-    multiplication, so the row of pivot c is the RREF row times its c entry."""
-    mat = [primitive_integer_row(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        k = next((i for i in range(len(pivots), len(mat)) if mat[i][c]), None)
-        if k is None:
-            continue
-        r = len(pivots)
-        mat[r], mat[k] = mat[k], mat[r]
-        p = mat[r][c]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if i != r and f:
-                mat[i] = primitive_integer_row([p * a - f * b for a, b in zip(row, mat[r])])
-        pivots.append(c)
+    column."""
+    done, pivots = _integer_rref(map(primitive_integer_row, rows), ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for row, pc in zip(mat, pivots):
+        for row, pc in zip(done, pivots):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
@@ -325,24 +363,72 @@ def shared_parts_by_intersection(prog: Progression, k: int, cap: int):
 def relation_kernel_dense(prog: Progression, cap: int):
     """All relations with degrees <= cap, solved over monomial-coefficient
     unknowns on the dense x^a y^b grid; returned as binomial-coordinate
-    rows (b_{ik} layout) for comparison with the main path."""
-    t = prog.t
-    unknowns = [(i, k) for i in range(t + 1) for k in range(1, cap + 1)]
-    powers = [_shift_powers(monomial(p), cap) for p in prog.all_polys()]
-    expansions = [powers[i][k] for i, k in unknowns]
-    cells = sorted({cell for exp in expansions for cell in exp})
-    rows = [[exp.get(cell, 0) for exp in expansions] for cell in cells]
-    kernel = _rref_kernel(rows, len(unknowns))
+    rows (b_{ik} layout) for comparison with the main path.
+
+    Column (i, k) holds (L x + L P_i(y))^k = L^k (x + P_i(y))^k, expanded
+    in integers by the binomial theorem, with L the lcm of the monomial
+    denominators of the P_i.  A kernel vector w of the scaled system gives
+    the kernel vector L^k_j w_j of the true one, and the monomial
+    coefficients c_m of each Q_i give its binomial coordinates
+    b_k = sum_m c_m S(m, k) k! (Stirling numbers of the second kind); both
+    steps run in integers, with one division per entry at the end."""
+    monos = [monomial(p) for p in prog.all_polys()]
+    scale = math.lcm(*(c.denominator for m in monos for c in m))
+    ncols = (prog.t + 1) * cap
+    cells = {}
+    for i, mono in enumerate(monos):
+        q = [c.numerator * (scale // c.denominator) for c in mono] or [0]
+        powers = [[1]]
+        for _ in range(cap):
+            powers.append(_mul(powers[-1], q))
+        for k in range(1, cap + 1):
+            for a in range(k + 1):
+                weight = math.comb(k, a) * scale ** a
+                for b, v in enumerate(powers[k - a]):
+                    if v:
+                        cells.setdefault((a, b), [0] * ncols)[i * cap + k - 1] = weight * v
+    done, pivots = _integer_rref(cells.values(), ncols)
+    # T[m][k] = S(m, k) k!, so u^m = sum_k T[m][k] C(u, k)
+    stirling = [[1]]
+    for m in range(1, cap + 1):
+        prev = stirling[-1] + [0]
+        stirling.append([k * (prev[k] + prev[k - 1]) if k else 0 for k in range(m + 1)])
     out = []
-    for vec in kernel:
-        row = []
-        for i in range(t + 1):
-            # monomial coefficients of Q_i ...
-            mono = [Fraction(0)] + [vec[i * cap + (k - 1)] for k in range(1, cap + 1)]
-            bs = list(to_binomial_basis(mono))
-            bs = bs + [Fraction(0)] * (cap + 1 - len(bs))
-            row.extend(bs[1:cap + 1])
-        out.append(row)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        rows = [(row, pc) for row, pc in zip(done, pivots) if row[fc]]
+        den = math.lcm(*(row[pc] for row, pc in rows))
+        w = [0] * ncols
+        w[fc] = den
+        for row, pc in rows:
+            w[pc] = -row[fc] * (den // row[pc])
+        den *= scale ** (fc % cap + 1)
+        vec = []
+        for i in range(prog.t + 1):
+            mono = [w[i * cap + m - 1] * scale ** m for m in range(1, cap + 1)]
+            vec.extend(Fraction(sum(c * stirling[m][k] for m, c in enumerate(mono, 1)
+                                    if k <= m), den)
+                       for k in range(1, cap + 1))
+        out.append(vec)
+    return out
+
+
+def eligibility_by_substitution(prog: Progression, r_max: int, cap: int):
+    """Per family y -> r(y-1)+j, r <= r_max, in order: (r, j, relation space
+    dimension, homogeneous, complexity profile), for the family built by
+    monomial substitution, its relation space solved on the dense grid and
+    its homogeneous relations from expanded powers (`progression.is_eligible`
+    reads only the homogeneous relation dimensions of each family)."""
+    out = []
+    for r in range(1, r_max + 1):
+        for j in range(r):
+            fam = reparametrized_family_by_substitution(prog, r, j)
+            kernel = relation_kernel_dense(fam, cap)
+            homog_dim = sum(len(homogeneous_relations_by_expansion(fam, k))
+                            for k in range(1, cap + 1))
+            profile = tuple(max((k for v in kernel for k in range(1, cap + 1)
+                                 if v[i * cap + k - 1]), default=0)
+                            for i in range(fam.t + 1))
+            out.append((r, j, len(kernel), homog_dim == len(kernel), profile))
     return out
 
 

@@ -508,3 +508,33 @@ def test_non_finite_report_value_is_an_invariant_failure(monkeypatch, capsys):
     assert code == 3 and not out
     doc = json.loads(err)
     assert doc["exception"] == "AssertionError" and "not JSON" in doc["check"]
+
+
+def test_main_builds_one_parser_and_dispatches_by_name(monkeypatch, capsys):
+    from polyprog import cli
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run_cli(capsys, "relations", "x, x+y")[0] == 0
+    # the command is looked up when main runs, so a replaced one is called
+    calls = []
+    monkeypatch.setattr(cli, "cmd_relations", lambda cfg, args: calls.append(args) or 0)
+    assert run_cli(capsys, "relations", "x, x+y") == (0, "", "")
+    assert len(built) == 1 and len(calls) == 1
+
+
+def test_analyze_imports_no_numeric_engine():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys; from polyprog.cli import main; code = main(sys.argv[1:]); "
+              "print([m for m in ('polyprog.cyclic', 'polyprog.weyl') if m in sys.modules], "
+              "code, file=sys.stderr)")
+    for argv in (["analyze", "x, x+y, x+2y, x+y^3"], ["relations", "x, x+y^2"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stderr.strip() == "[] 0", argv

@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyprog import oracle, ratlinalg as rl
 from polyprog.oracle import binom_of_shift
 from polyprog.polycore import forward_differences, to_binomial_basis, trim, value
 from polyprog.progression import (
+    EligibilityReport,
     Progression,
     Relation,
     coeff_space,
@@ -465,6 +466,76 @@ def test_eligibility_examples():
     assert is_eligible(progression(Y, Y2), r_max=3).eligible
     with pytest.raises(ValueError):
         is_eligible(INH)
+
+
+AP4 = progression(Y, (0, 2), (0, 3))    # x, x+y, x+2y, x+3y
+
+
+def test_every_family_has_the_progression_relation_space():
+    # the bijection of is_eligible's docstring, family by family, on the
+    # oracle's own families, dense kernels and expanded powers; also for an
+    # inhomogeneous progression, whose families all stay inhomogeneous.
+    # AP4 at cap 1 has a degree-2 homogeneous relation beyond the cap.
+    for prog, caps in ((HOM, (1, 2, 5)), (AP4, (1, 2)), (INH, (2, 5)), (FIVE, (3,))):
+        for cap in caps:
+            dim = len(oracle.relation_kernel_dense(prog, cap))
+            profile = complexity_profile(prog, cap)[0]
+            homog = is_homogeneous(prog, cap)[0]
+            sweep = oracle.eligibility_by_substitution(prog, 3, cap)
+            assert [(r, j) for r, j, *_ in sweep] == [(1, 0), (2, 0), (2, 1),
+                                                        (3, 0), (3, 1), (3, 2)]
+            assert {tuple(fam) for _, _, *fam in sweep} == {(dim, homog, profile)}, (prog, cap)
+            if homog:
+                assert is_eligible(prog, r_max=3, cap=cap) == \
+                    EligibilityReport(True, 3, cap, None, len(sweep))
+
+
+@st.composite
+def homogeneous_at_some_cap(draw):
+    polys = draw(st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=2)
+                          .filter(any).map(lambda cs: trim([0] + cs)),
+                          min_size=1, max_size=3, unique=True))
+    prog = Progression(tuple(polys))
+    cap = draw(st.integers(1, prog.default_cap()))
+    assume(is_homogeneous(prog, cap)[0])
+    return prog, cap
+
+
+@given(homogeneous_at_some_cap(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_eligibility_sweep_matches_substitution_route(prog_cap, r_max):
+    prog, cap = prog_cap
+    sweep = oracle.eligibility_by_substitution(prog, r_max, cap)
+    failing = [(r, j) for r, j, _, homog, _ in sweep if not homog]
+    report = is_eligible(prog, r_max=r_max, cap=cap)
+    assert report.eligible == (not failing)
+    if failing:
+        assert report.failure == (*failing[0], "inhomogeneous")
+        assert report.checked == [(r, j) for r, j, *_ in sweep].index(failing[0])
+    else:
+        assert report.failure is None and report.checked == len(sweep)
+
+
+@pytest.mark.parametrize("r, j", [(1, 0), (3, 1), (3, 2)])
+def test_eligibility_reports_a_forced_failing_family(monkeypatch, r, j):
+    # no homogeneous progression with an inhomogeneous family is known, so
+    # one family's homogeneous relation dimensions are replaced
+    from polyprog import progression as pr
+    cap = HOM.default_cap()
+    target = reparametrized_family(HOM, r, j)
+    dims = pr.homogeneous_relation_dims
+
+    def forced(change):
+        return lambda prog, c: change(dims(prog, c)) if prog == target else dims(prog, c)
+
+    index = [(rr, jj) for rr in range(1, 4) for jj in range(rr)].index((r, j))
+    monkeypatch.setattr(pr, "homogeneous_relation_dims", forced(lambda d: [d[0] - 1] + d[1:]))
+    assert is_eligible(HOM, r_max=3) == \
+        EligibilityReport(False, 3, cap, (r, j, "inhomogeneous"), index)
+    # a sum above dim R_cap(P) breaks the embedding K_k in R_cap
+    monkeypatch.setattr(pr, "homogeneous_relation_dims", forced(lambda d: [d[0] + 1] + d[1:]))
+    with pytest.raises(AssertionError, match="must embed"):
+        is_eligible(HOM, r_max=3)
 
 
 def test_reparametrized_family_is_integral_progression():
